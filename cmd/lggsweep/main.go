@@ -88,7 +88,7 @@ func main() {
 		resume      = flag.Bool("resume", false, "resume from the -journal file instead of re-running its prefix")
 		retries     = flag.Int("retries", 0, "re-attempts for a run that panics before recording it as failed")
 		remote      = flag.String("remote", "", "submit to a running lggd daemon (or federation coordinator) at this address instead of sweeping in-process")
-		tenant      = flag.String("tenant", "", "tenant name for remote submission; a federation coordinator applies per-tenant quotas and fair-share dispatch to it")
+		tenant      = flag.String("tenant", "", "tenant name for remote submission; lggd dispatches fair-share across tenants, and a federation coordinator also applies per-tenant quotas")
 		adaptive    = flag.Bool("adaptive", false, "bisect -axis for the stability frontier instead of enumerating the grid")
 		axis        = flag.String("axis", "", "numeric axis to search with -adaptive (e.g. rho)")
 		tol         = flag.Float64("tol", 0.05, "adaptive: bracket-width tolerance on the search axis")

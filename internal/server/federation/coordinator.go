@@ -27,30 +27,32 @@
 // view, and promotes itself after a missed-heartbeat window — re-queueing
 // every non-terminal job, whose merged output stays byte-identical to an
 // unfailed run because the worker-side idempotency keys are derived from
-// the job, not the coordinator. Fleet membership is gossip-maintained:
-// every worker contact refreshes a liveness age, coordinators anti-entropy
-// their views as age vectors (membership.go), and departed workers age
-// out through suspicion instead of holding leases. Dispatch is
+// the job, not the coordinator. Fleet membership is age-based: every
+// worker contact refreshes a liveness age, standbys mirror the primary's
+// view as age vectors (membership.go), and departed workers age out
+// through suspicion instead of holding leases. Dispatch is
 // health-aware: per-worker EWMA service rates drive adaptive straggler
 // leases, and a worker whose error share crosses a threshold is browned
 // out and drained instead of fed more ranges (health.go).
 //
-// On top, the coordinator adds the multi-tenant control the single
-// daemon deliberately lacks: per-tenant admission quotas and fair-share
-// dispatch (queue.go), and a compacting result store that distils
-// finished jobs into per-cell summaries queryable without replaying
-// journals (store.go).
+// Everything a job goes through between admission and a terminal state
+// — the job table, the tenant queue with its per-tenant quotas, the
+// ledger, cancel, dispatch, drain and the HTTP job surface — is the job
+// plane of package server, shared with the single daemon. A Coordinator
+// is that plane with a fleet executor (Execute) plus what only a
+// coordinator has: the fleet, its health board, the standby chain and a
+// compacting result store that distils finished jobs into per-cell
+// summaries queryable without replaying journals (store.go).
 package federation
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	mrand "math/rand"
 	"net/http"
+	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -69,7 +71,7 @@ type Config struct {
 	// matches a single daemon's state directory.
 	StateDir string
 	// Workers seeds the fleet with lggd base URLs; more join at runtime
-	// via POST /v1/fleet/join or peer gossip.
+	// via POST /v1/fleet/join.
 	Workers []string
 	// Jobs is the number of coordinator jobs sharded concurrently
 	// (default 2) — each one fans out to the whole fleet.
@@ -134,10 +136,6 @@ type Config struct {
 	// and a lower rank — demotes this one back to standby (no
 	// consensus; the rank order is the arbiter).
 	Watch []string
-	// Peers lists other coordinators to exchange fleet views with in
-	// jittered anti-entropy rounds every AntiEntropy, so coordinators
-	// converge on the same live-worker set without a shared seed list.
-	Peers []string
 	// Heartbeat is the standby's primary-poll cadence (default 1s).
 	Heartbeat time.Duration
 	// FailoverAfter is how long a standby tolerates failed heartbeats
@@ -150,12 +148,10 @@ type Config struct {
 	// DeadAfter removes a worker unheard from for this long
 	// (default 2×SuspectAfter).
 	DeadAfter time.Duration
-	// AntiEntropy is the peer-gossip cadence (default 2s).
-	AntiEntropy time.Duration
 	// JoinPingTimeout bounds the liveness probe run against a joining
 	// worker before it is admitted to the fleet, so a hung peer cannot
 	// block the join handler (default 2s). Also bounds the periodic
-	// liveness probes of stale members and peer gossip fetches.
+	// liveness probes of stale members.
 	JoinPingTimeout time.Duration
 	// Health tunes worker health scoring (EWMA rates, adaptive leases,
 	// brown-out); zero values take HealthConfig defaults.
@@ -174,27 +170,29 @@ type Config struct {
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 	// Now and Rand are injectable for tests (defaults time.Now and
-	// math/rand.Float64). Rand jitters the gossip, heartbeat and
-	// membership cadences.
+	// math/rand.Float64). Rand jitters the heartbeat and membership
+	// cadences.
 	Now  func() time.Time
 	Rand func() float64
 }
 
-// Coordinator metric names.
+// Coordinator metric names. The job-plane series (queue depth through
+// standby) are the plane's, under the lggfed_ prefix; the rest are
+// the fleet's.
 const (
 	MetricQueued           = "lggfed_queue_depth"
 	MetricInflight         = "lggfed_inflight_jobs"
-	MetricFleet            = "lggfed_fleet_size"
 	MetricShed             = "lggfed_jobs_shed_total"
 	MetricQuotaRefused     = "lggfed_jobs_quota_refused_total"
 	MetricJobsDone         = "lggfed_jobs_done_total"
 	MetricJobsFailed       = "lggfed_jobs_failed_total"
+	MetricStandby          = "lggfed_standby"
+	MetricFleet            = "lggfed_fleet_size"
 	MetricRangesDone       = "lggfed_ranges_done_total"
 	MetricRangesStolen     = "lggfed_ranges_stolen_total"
 	MetricRangesRetried    = "lggfed_ranges_retried_total"
 	MetricCellsCompacted   = "lggfed_cells_compacted_total"
 	MetricEpoch            = "lggfed_epoch"
-	MetricStandby          = "lggfed_standby"
 	MetricRank             = "lggfed_rank"
 	MetricFailovers        = "lggfed_failovers_total"
 	MetricDemotions        = "lggfed_demotions_total"
@@ -204,33 +202,6 @@ const (
 	MetricReapFailures     = "lggfed_reap_failures_total"
 )
 
-var (
-	errDrain        = errors.New("federation: draining")
-	errDemote       = errors.New("federation: demoted to standby")
-	errClientCancel = errors.New("federation: cancelled by client")
-)
-
-// cjob is the in-memory state of one coordinator job.
-type cjob struct {
-	mu              sync.Mutex
-	st              server.JobState
-	cancel          context.CancelCauseFunc // non-nil while running
-	cancelRequested bool
-	doneCh          chan struct{} // closed at a terminal status
-}
-
-func (j *cjob) state() server.JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.st
-}
-
-func (j *cjob) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.st.Status.Terminal()
-}
-
 // worker is one fleet member's client handle. Liveness lives in the
 // membership table, scheduling health in the health board — both keyed
 // by URL.
@@ -239,12 +210,12 @@ type worker struct {
 	cli *client.Client
 }
 
-// Coordinator shards sweep jobs across a fleet of lggd daemons.
-// Construct with New, serve its Handler, stop with Drain.
+// Coordinator shards sweep jobs across a fleet of lggd daemons: the job
+// plane with a fleet executor. Construct with New, serve its Handler,
+// stop with Drain.
 type Coordinator struct {
+	*server.Plane
 	cfg     Config
-	ledger  *server.Ledger
-	reg     *metrics.Registry
 	rstore  *resultStore
 	members *membership
 	health  *healthBoard
@@ -252,34 +223,18 @@ type Coordinator struct {
 	upstreams []*upstream // the failover chain this coordinator monitors
 
 	mu           sync.Mutex
-	jobs         map[string]*cjob
-	order        []string
-	keys         map[string]string // idempotency key → job id
-	queue        *tenantQueue
 	workers      map[string]*worker
 	outstanding  map[string]int  // live range attempts per worker URL
 	probing      map[string]bool // urls with an in-flight liveness probe
 	rrWorker     int             // round-robin cursor for range placement
-	nextID       int
-	draining     bool
-	standby      bool
 	epoch        int64
-	mirrorEpoch  int64         // primary's epoch as last mirrored by a standby
-	maxSeenEpoch int64         // highest epoch observed from any coordinator
-	reignc       chan struct{} // closed when this primary's reign ends (demotion)
+	mirrorEpoch  int64 // primary's epoch as last mirrored by a standby
+	maxSeenEpoch int64 // highest epoch observed from any coordinator
 
-	wake  chan struct{}
-	stopc chan struct{}
-	wg    sync.WaitGroup
-
-	gQueue, gInflight, gFleet, gEpoch   *metrics.Gauge
-	gStandby, gRank, gSuspect, gBrowned *metrics.Gauge
-	cShed, cQuota, cDone, cFailed       *metrics.Counter
-	cRanges, cStolen, cRetried, cCells  *metrics.Counter
-	cFailovers, cDemotions              *metrics.Counter
-	cBeatsMissed, cReapFail             *metrics.Counter
-	ewmaMu                              sync.Mutex
-	jobSecs                             float64
+	gFleet, gEpoch, gRank, gSuspect, gBrowned *metrics.Gauge
+	cRanges, cStolen, cRetried, cCells        *metrics.Counter
+	cFailovers, cDemotions                    *metrics.Counter
+	cBeatsMissed, cReapFail                   *metrics.Counter
 }
 
 // upstream is one coordinator in the failover chain that this one
@@ -308,12 +263,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Standby && cfg.Rank == 0 {
 		cfg.Rank = 1
 	}
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = 2
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 16
-	}
 	if cfg.TenantQuota == 0 {
 		cfg.TenantQuota = 4
 	}
@@ -341,9 +290,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.DeadAfter <= 0 {
 		cfg.DeadAfter = 2 * cfg.SuspectAfter
 	}
-	if cfg.AntiEntropy <= 0 {
-		cfg.AntiEntropy = 2 * time.Second
-	}
 	if cfg.JoinPingTimeout <= 0 {
 		cfg.JoinPingTimeout = 2 * time.Second
 	}
@@ -368,89 +314,14 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Rand == nil {
 		cfg.Rand = mrand.Float64
 	}
-	ledger, replay, err := server.OpenLedger(cfg.StateDir)
-	if err != nil {
-		return nil, err
-	}
-	rstore, err := openResultStore(cfg.StateDir)
-	if err != nil {
-		ledger.Close()
-		return nil, err
-	}
 	c := &Coordinator{
 		cfg:         cfg,
-		ledger:      ledger,
-		reg:         cfg.Registry,
-		rstore:      rstore,
 		members:     newMembership(cfg.SuspectAfter, cfg.DeadAfter, cfg.Now),
 		health:      newHealthBoard(cfg.Health, cfg.Lease, cfg.Now),
-		jobs:        make(map[string]*cjob),
-		keys:        make(map[string]string),
-		queue:       newTenantQueue(cfg.TenantQuota, cfg.QueueDepth),
 		workers:     make(map[string]*worker),
 		outstanding: make(map[string]int),
 		probing:     make(map[string]bool),
-		wake:        make(chan struct{}, 1),
-		stopc:       make(chan struct{}),
 	}
-	c.gQueue = c.reg.Gauge(MetricQueued, "Jobs waiting in the coordinator queue.")
-	c.gInflight = c.reg.Gauge(MetricInflight, "Coordinator jobs currently sharded across the fleet.")
-	c.gFleet = c.reg.Gauge(MetricFleet, "Workers in the fleet.")
-	c.gEpoch = c.reg.Gauge(MetricEpoch, "Leadership epoch (increments at every failover).")
-	c.gStandby = c.reg.Gauge(MetricStandby, "1 while this coordinator is a standby.")
-	c.gRank = c.reg.Gauge(MetricRank, "This coordinator's fixed failover rank (0 = configured primary).")
-	c.gSuspect = c.reg.Gauge(MetricMembersSuspect, "Fleet members past the suspicion threshold.")
-	c.gBrowned = c.reg.Gauge(MetricBrownedOut, "Workers browned out by error rate.")
-	c.cShed = c.reg.Counter(MetricShed, "Submissions shed because the shared queue was full.")
-	c.cQuota = c.reg.Counter(MetricQuotaRefused, "Submissions refused by a tenant's quota.")
-	c.cDone = c.reg.Counter(MetricJobsDone, "Coordinator jobs merged to completion.")
-	c.cFailed = c.reg.Counter(MetricJobsFailed, "Coordinator jobs that failed.")
-	c.cRanges = c.reg.Counter(MetricRangesDone, "Ranges completed by the fleet.")
-	c.cStolen = c.reg.Counter(MetricRangesStolen, "Ranges re-leased past their straggler deadline.")
-	c.cRetried = c.reg.Counter(MetricRangesRetried, "Range attempts retried after a worker failure.")
-	c.cCells = c.reg.Counter(MetricCellsCompacted, "Per-cell summaries written to the result index.")
-	c.cFailovers = c.reg.Counter(MetricFailovers, "Standby promotions to primary.")
-	c.cDemotions = c.reg.Counter(MetricDemotions, "Acting primaries that stepped back down to standby.")
-	c.cBeatsMissed = c.reg.Counter(MetricHeartbeatsMissed, "Failed heartbeat polls of the primary.")
-	c.cReapFail = c.reg.Counter(MetricReapFailures, "Abandoned worker jobs the reaper gave up cancelling.")
-
-	for _, url := range cfg.Workers {
-		if err := c.addWorker(url, false); err != nil {
-			ledger.Close()
-			return nil, err
-		}
-	}
-
-	for _, rec := range replay {
-		jb := &cjob{st: rec, doneCh: make(chan struct{})}
-		if n, ok := jobIDNumber(rec.ID); ok && n >= c.nextID {
-			c.nextID = n + 1
-		}
-		if rec.Spec.IdempotencyKey != "" {
-			c.keys[rec.Spec.IdempotencyKey] = rec.ID
-		}
-		c.jobs[rec.ID] = jb
-		c.order = append(c.order, rec.ID)
-		if rec.Status.Terminal() {
-			close(jb.doneCh)
-			continue
-		}
-		if cfg.Standby {
-			// A restarted standby keeps mirrored jobs as recorded; the
-			// follow loop refreshes them from the primary (and a
-			// promotion re-queues whatever is still live).
-			continue
-		}
-		jb.st.Status = server.StatusQueued
-		c.queue.push(rec.Spec.Tenant, jb)
-		cfg.Logf("lggfed: resuming %s (%s, %d/%d runs merged)", rec.ID, rec.Spec.Grid, rec.Done, rec.Total)
-	}
-	// Replay rebuilt the tenant ring in first-submission order; re-seat
-	// the fair-share cursor past the tenant dispatched last before the
-	// restart so it is not served first again.
-	c.queue.alignAfter(ledger.LastDispatchedTenant())
-	c.gQueue.Set(int64(c.queue.pending()))
-
 	// The failover chain: a standby monitors the primary plus every
 	// better-ranked standby; an acting primary guards against the URLs
 	// in its watch set.
@@ -464,61 +335,73 @@ func New(cfg Config) (*Coordinator, error) {
 		ucfg.MaxAttempts = 1 // the follow/guard loop is the retry policy
 		ucli, err := client.New(ucfg)
 		if err != nil {
-			rstore.close()
-			ledger.Close()
 			return nil, fmt.Errorf("federation: upstream %s: %w", url, err)
 		}
 		c.upstreams = append(c.upstreams, &upstream{url: url, cli: ucli})
 	}
+	reg := cfg.Registry
+	c.gFleet = reg.Gauge(MetricFleet, "Workers in the fleet.")
+	c.gEpoch = reg.Gauge(MetricEpoch, "Leadership epoch (increments at every failover).")
+	c.gRank = reg.Gauge(MetricRank, "This coordinator's fixed failover rank (0 = configured primary).")
+	c.gSuspect = reg.Gauge(MetricMembersSuspect, "Fleet members past the suspicion threshold.")
+	c.gBrowned = reg.Gauge(MetricBrownedOut, "Workers browned out by error rate.")
+	c.cRanges = reg.Counter(MetricRangesDone, "Ranges completed by the fleet.")
+	c.cStolen = reg.Counter(MetricRangesStolen, "Ranges re-leased past their straggler deadline.")
+	c.cRetried = reg.Counter(MetricRangesRetried, "Range attempts retried after a worker failure.")
+	c.cCells = reg.Counter(MetricCellsCompacted, "Per-cell summaries written to the result index.")
+	c.cFailovers = reg.Counter(MetricFailovers, "Standby promotions to primary.")
+	c.cDemotions = reg.Counter(MetricDemotions, "Acting primaries that stepped back down to standby.")
+	c.cBeatsMissed = reg.Counter(MetricHeartbeatsMissed, "Failed heartbeat polls of the primary.")
+	c.cReapFail = reg.Counter(MetricReapFailures, "Abandoned worker jobs the reaper gave up cancelling.")
+	for _, url := range cfg.Workers {
+		if err := c.addWorker(url, false); err != nil {
+			return nil, err
+		}
+	}
+
+	// A standby owns no fleet leases; a client it refuses should submit
+	// to the primary — or retry here after a failover promotes us.
+	standbyRetry := int(cfg.FailoverAfter / time.Second)
+	if standbyRetry < 1 {
+		standbyRetry = 1
+	}
+	var err error
+	c.Plane, err = server.NewPlane(server.Config{
+		StateDir:   cfg.StateDir,
+		Jobs:       cfg.Jobs,
+		QueueDepth: cfg.QueueDepth,
+		FindGrid:   cfg.FindGrid,
+		Registry:   cfg.Registry,
+		Logf:       cfg.Logf,
+	}, server.Role{
+		Name:              "lggfed",
+		Exec:              c,
+		Quota:             cfg.TenantQuota,
+		Standby:           cfg.Standby,
+		StandbyRetryAfter: standbyRetry,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if c.rstore, err = openResultStore(cfg.StateDir); err != nil {
+		_ = c.Plane.Drain(context.Background()) // closes the ledger; nothing runs yet
+		return nil, err
+	}
+	c.routes()
+
 	c.gRank.Set(int64(cfg.Rank))
 	if cfg.Standby {
-		c.standby = true
-		c.gStandby.Set(1)
-		c.wg.Add(1)
-		go c.followLoop()
+		c.Go(c.followLoop)
 	} else {
 		c.epoch = 1
 		c.gEpoch.Set(1)
-		c.reignc = make(chan struct{})
-		c.wg.Add(cfg.Jobs)
-		for i := 0; i < cfg.Jobs; i++ {
-			go c.dispatcher()
-		}
 		if len(c.upstreams) > 0 {
-			c.wg.Add(1)
-			go c.guardLoop()
+			c.Go(c.guardLoop)
 		}
 	}
-	c.wg.Add(1)
-	go c.membershipLoop()
-	if len(cfg.Peers) > 0 {
-		peers := make([]*client.Client, 0, len(cfg.Peers))
-		for _, url := range cfg.Peers {
-			pcfg := cfg.Client
-			pcfg.BaseURL = url
-			pcfg.MaxAttempts = 1 // anti-entropy rounds are the retry policy
-			pcli, err := client.New(pcfg)
-			if err != nil {
-				rstore.close()
-				ledger.Close()
-				return nil, fmt.Errorf("federation: peer %s: %w", url, err)
-			}
-			peers = append(peers, pcli)
-		}
-		c.wg.Add(1)
-		go c.gossipLoop(peers)
-	}
+	c.Go(c.membershipLoop)
+	c.Start()
 	return c, nil
-}
-
-// jobIDNumber parses the numeric suffix of "job-%08d".
-func jobIDNumber(id string) (int, bool) {
-	const p = "job-"
-	if !strings.HasPrefix(id, p) || len(id) == len(p) {
-		return 0, false
-	}
-	n, err := strconv.Atoi(id[len(p):])
-	return n, err == nil
 }
 
 // jitter spreads a cadence across [d/2, 3d/2) so restarted fleet
@@ -569,21 +452,22 @@ func (c *Coordinator) addWorker(url string, ping bool) error {
 	return nil
 }
 
-// ensureWorker builds a client handle for a gossip-learned URL without
-// refreshing its membership age (the caller already merged the peer's
-// age claim; claiming direct contact would forge freshness).
+// ensureWorker builds a client handle for a URL learned from the
+// primary's fleet view without refreshing its membership age (the
+// caller already merged the primary's age claim; claiming direct
+// contact would forge freshness).
 func (c *Coordinator) ensureWorker(url string) {
 	ccfg := c.cfg.Client
 	ccfg.BaseURL = url
 	cli, err := client.New(ccfg)
 	if err != nil {
-		c.cfg.Logf("lggfed: gossip worker %s: %v", url, err)
+		c.cfg.Logf("lggfed: mirrored worker %s: %v", url, err)
 		return
 	}
 	c.mu.Lock()
 	if _, ok := c.workers[url]; !ok {
 		c.workers[url] = &worker{url: url, cli: cli}
-		c.cfg.Logf("lggfed: worker %s joined via gossip (fleet size %d)", url, c.members.size())
+		c.cfg.Logf("lggfed: worker %s learned from the primary (fleet size %d)", url, c.members.size())
 	}
 	c.mu.Unlock()
 	c.gFleet.Set(int64(c.members.size()))
@@ -620,20 +504,12 @@ func (c *Coordinator) FleetMembers() []server.FleetMember {
 func (c *Coordinator) Status() server.CoordStatus {
 	c.mu.Lock()
 	epoch := c.epoch
-	standby := c.standby
 	c.mu.Unlock()
 	role := server.RolePrimary
-	if standby {
+	if c.Standby() {
 		role = server.RoleStandby
 	}
 	return server.CoordStatus{Epoch: epoch, Role: role, Rank: c.cfg.Rank, Fleet: c.FleetMembers(), Jobs: c.Jobs()}
-}
-
-// Standby reports whether this coordinator is (still) a standby.
-func (c *Coordinator) Standby() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.standby
 }
 
 // nextWorker picks a worker for one range attempt, preferring — in
@@ -723,243 +599,13 @@ func (c *Coordinator) releaseWorker(url string) {
 	}
 }
 
-// Admit validates and enqueues a job, mirroring the single daemon's
-// semantics plus the tenant layer: quota exhaustion and a full shared
-// queue both shed with Unavailable (HTTP 429 + Retry-After); drain and
-// standby mode refuse with the 503 variant.
-func (c *Coordinator) Admit(spec server.JobSpec, key string) (server.JobState, bool, error) {
-	spec = spec.WithDefaults()
-	if key != "" {
-		spec.IdempotencyKey = key
-	}
-	if err := spec.Validate(c.cfg.FindGrid); err != nil {
-		return server.JobState{}, false, err
-	}
+// Check refuses pre-sharded specs: run ranges are the coordinator's own
+// unit of dispatch.
+func (c *Coordinator) Check(spec server.JobSpec) error {
 	if spec.RunCount > 0 || spec.RunStart > 0 {
-		return server.JobState{}, false, fmt.Errorf("federation: run_start/run_count are reserved for the coordinator's own sharding")
+		return fmt.Errorf("federation: run_start/run_count are reserved for the coordinator's own sharding")
 	}
-	c.mu.Lock()
-	if c.draining {
-		ra := c.retryAfterLocked()
-		c.mu.Unlock()
-		return server.JobState{}, false, &server.Unavailable{Draining: true, RetryAfter: ra}
-	}
-	if c.standby {
-		// A standby owns no fleet leases; the client should submit to
-		// the primary — or retry here after a failover promotes us.
-		ra := int(c.cfg.FailoverAfter / time.Second)
-		if ra < 1 {
-			ra = 1
-		}
-		c.mu.Unlock()
-		return server.JobState{}, false, &server.Unavailable{Standby: true, RetryAfter: ra}
-	}
-	if spec.IdempotencyKey != "" {
-		if id, ok := c.keys[spec.IdempotencyKey]; ok {
-			jb := c.jobs[id]
-			c.mu.Unlock()
-			return jb.state(), false, nil
-		}
-	}
-	overQuota, full := c.queue.admissible(spec.Tenant)
-	if overQuota || full {
-		ra := c.retryAfterLocked()
-		c.mu.Unlock()
-		if overQuota {
-			c.cQuota.Inc()
-			return server.JobState{}, false, &server.Unavailable{RetryAfter: ra}
-		}
-		c.cShed.Inc()
-		return server.JobState{}, false, &server.Unavailable{RetryAfter: ra}
-	}
-	id := fmt.Sprintf("job-%08d", c.nextID)
-	c.nextID++
-	jb := &cjob{st: server.JobState{ID: id, Spec: spec, Status: server.StatusQueued}, doneCh: make(chan struct{})}
-	if err := c.ledger.Append(jb.st); err != nil {
-		c.nextID--
-		c.mu.Unlock()
-		return server.JobState{}, false, err
-	}
-	c.jobs[id] = jb
-	c.order = append(c.order, id)
-	if spec.IdempotencyKey != "" {
-		c.keys[spec.IdempotencyKey] = id
-	}
-	c.queue.push(spec.Tenant, jb)
-	c.gQueue.Set(int64(c.queue.pending()))
-	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-	return jb.state(), true, nil
-}
-
-// retryAfterLocked derives the Retry-After hint from queue pressure and
-// the measured mean job duration. Requires c.mu.
-func (c *Coordinator) retryAfterLocked() int {
-	c.ewmaMu.Lock()
-	mean := c.jobSecs
-	c.ewmaMu.Unlock()
-	if mean <= 0 {
-		mean = 1
-	}
-	secs := int(math.Ceil(mean * float64(c.queue.pending()+1) / float64(c.cfg.Jobs)))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 300 {
-		secs = 300
-	}
-	return secs
-}
-
-func (c *Coordinator) observeJobSeconds(secs float64) {
-	c.ewmaMu.Lock()
-	if c.jobSecs == 0 {
-		c.jobSecs = secs
-	} else {
-		c.jobSecs = 0.7*c.jobSecs + 0.3*secs
-	}
-	c.ewmaMu.Unlock()
-}
-
-// Job returns a job's state by id.
-func (c *Coordinator) Job(id string) (server.JobState, bool) {
-	c.mu.Lock()
-	jb, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		return server.JobState{}, false
-	}
-	return jb.state(), true
-}
-
-// Jobs lists every known job in submission order.
-func (c *Coordinator) Jobs() []server.JobState {
-	c.mu.Lock()
-	ids := append([]string(nil), c.order...)
-	m := c.jobs
-	c.mu.Unlock()
-	out := make([]server.JobState, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, m[id].state())
-	}
-	return out
-}
-
-// Cancel requests cancellation. Queued jobs cancel immediately (and
-// refund their tenant's quota); running jobs cancel mid-merge, keeping
-// the merged prefix; terminal jobs are left alone.
-func (c *Coordinator) Cancel(id string) (server.JobState, bool) {
-	c.mu.Lock()
-	jb, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		return server.JobState{}, false
-	}
-	jb.mu.Lock()
-	switch {
-	case jb.st.Status.Terminal():
-		jb.mu.Unlock()
-	case jb.st.Status == server.StatusQueued:
-		tenant := jb.st.Spec.Tenant
-		jb.cancelRequested = true
-		jb.st.Status = server.StatusCancelled
-		jb.st.Error = errClientCancel.Error()
-		st := jb.st
-		close(jb.doneCh)
-		jb.mu.Unlock()
-		c.mu.Lock()
-		if c.queue.remove(tenant, jb) {
-			c.gQueue.Set(int64(c.queue.pending()))
-		} else {
-			c.queue.release(tenant)
-		}
-		c.mu.Unlock()
-		c.persist(st)
-	default: // running
-		jb.cancelRequested = true
-		cancel := jb.cancel
-		jb.mu.Unlock()
-		if cancel != nil {
-			cancel(errClientCancel)
-		}
-	}
-	return jb.state(), true
-}
-
-func (c *Coordinator) persist(st server.JobState) {
-	if err := c.ledger.Append(st); err != nil {
-		c.cfg.Logf("lggfed: ledger append for %s: %v", st.ID, err)
-	}
-}
-
-// JournalPath exposes where a job's merged journal lives (the results
-// stream and the fleet smoke test read it).
-func (c *Coordinator) JournalPath(id string) string { return c.ledger.JournalPath(id) }
-
-// dispatcher pops queued jobs fair-share and shards them until drain.
-func (c *Coordinator) dispatcher() {
-	defer c.wg.Done()
-	for {
-		jb := c.pop()
-		if jb == nil {
-			return
-		}
-		c.executeJob(jb)
-	}
-}
-
-func (c *Coordinator) pop() *cjob {
-	for {
-		c.mu.Lock()
-		if c.draining || c.standby {
-			// A demoted coordinator's dispatchers retire; a later
-			// promotion starts fresh ones.
-			c.mu.Unlock()
-			return nil
-		}
-		reign := c.reignc
-		if jb := c.queue.pop(); jb != nil {
-			c.gQueue.Set(int64(c.queue.pending()))
-			c.mu.Unlock()
-			return jb
-		}
-		c.mu.Unlock()
-		select {
-		case <-c.wake:
-		case <-reign:
-			return nil
-		case <-c.stopc:
-			return nil
-		}
-	}
-}
-
-// finish moves a job terminal, refunds its quota and persists.
-func (c *Coordinator) finish(jb *cjob, status server.JobStatus, errMsg string) {
-	jb.mu.Lock()
-	if jb.st.Status.Terminal() {
-		jb.mu.Unlock()
-		return
-	}
-	jb.st.Status = status
-	jb.st.Error = errMsg
-	st := jb.st
-	close(jb.doneCh)
-	jb.mu.Unlock()
-	c.mu.Lock()
-	c.queue.release(st.Spec.Tenant)
-	c.mu.Unlock()
-	switch status {
-	case server.StatusDone:
-		c.cDone.Inc()
-	case server.StatusFailed:
-		c.cFailed.Inc()
-	}
-	c.persist(st)
-	c.cfg.Logf("lggfed: %s → %s (%d/%d runs)", st.ID, status, st.Done, st.Total)
+	return nil
 }
 
 // runRange is one contiguous shard of a job.
@@ -967,43 +613,29 @@ type runRange struct {
 	start, count int
 }
 
-// executeJob shards one job across the fleet, merges the returned
-// ranges into the job's journal in global index order, and compacts the
-// finished job into the result index.
-func (c *Coordinator) executeJob(jb *cjob) {
-	jb.mu.Lock()
-	if jb.st.Status.Terminal() { // cancelled while queued
-		jb.mu.Unlock()
-		return
-	}
-	ctx, cancel := context.WithCancelCause(context.Background())
-	jb.cancel = cancel
-	jb.st.Status = server.StatusRunning
-	spec := jb.st.Spec
-	id := jb.st.ID
-	st := jb.st
-	jb.mu.Unlock()
-	defer cancel(nil)
-	c.persist(st)
-	c.gInflight.Add(1)
-	defer c.gInflight.Add(-1)
-	start := time.Now()
-
+// Execute is the fleet executor: it shards one job across the fleet,
+// merges the returned ranges into the job's journal in global index
+// order, and compacts the finished job into the result index. The job
+// gets no deadline of its own; its timeout_ms applies per range on the
+// workers.
+func (c *Coordinator) Execute(ctx context.Context, jb *server.Job) error {
+	st := jb.State()
+	spec, id := st.Spec, st.ID
 	g, err := c.cfg.FindGrid(spec.Grid)
 	if err != nil {
-		c.finish(jb, server.StatusFailed, err.Error())
-		return
+		return err
 	}
 	total := len(g.Jobs(spec.Config()))
 	if total == 0 {
-		c.finish(jb, server.StatusFailed, "grid enumerates zero runs")
-		return
+		return errors.New("grid enumerates zero runs")
 	}
-
-	journal, prefix, err := sweep.OpenJournalResume(c.ledger.JournalPath(id), total)
+	journal, prefix, err := sweep.OpenJournalResume(c.JournalPath(id), total)
 	if err != nil {
-		c.finish(jb, server.StatusFailed, err.Error())
-		return
+		return err
+	}
+	jb.SetTotal(total)
+	for _, r := range prefix {
+		jb.Record(r)
 	}
 
 	var (
@@ -1016,22 +648,10 @@ func (c *Coordinator) executeJob(jb *cjob) {
 		if err := journal.Append(r); err != nil {
 			return err
 		}
-		jb.mu.Lock()
-		jb.st.Done++
-		countRecovery(&jb.st, r.Recovery, +1)
-		jb.mu.Unlock()
+		jb.Record(r)
 		return nil
 	})
 	merger.Resume(len(prefix))
-
-	jb.mu.Lock()
-	jb.st.Total = total
-	jb.st.Done = len(prefix)
-	jb.st.Recovered, jb.st.Degraded, jb.st.Indeterminate = 0, 0, 0
-	for _, r := range prefix {
-		countRecovery(&jb.st, r.Recovery, +1)
-	}
-	jb.mu.Unlock()
 
 	// The merged prefix is already durable; shard only what remains.
 	var ranges []runRange
@@ -1052,6 +672,9 @@ func (c *Coordinator) executeJob(jb *cjob) {
 		jobKey = spec.IdempotencyKey
 	}
 
+	// One lost range fails the job: its error cancels the rest.
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	width := c.members.size()
 	if width < 1 {
 		width = 1
@@ -1062,6 +685,14 @@ func (c *Coordinator) executeJob(jb *cjob) {
 		failMu   sync.Mutex
 		firstErr error
 	)
+	fail := func(err error) {
+		failMu.Lock()
+		if firstErr == nil {
+			firstErr = err
+			cancel(err)
+		}
+		failMu.Unlock()
+	}
 	for _, rg := range ranges {
 		rg := rg
 		wg.Add(1)
@@ -1071,24 +702,14 @@ func (c *Coordinator) executeJob(jb *cjob) {
 			defer func() { <-sem }()
 			rs, err := c.runRange(ctx, spec, jobKey, rg)
 			if err != nil {
-				failMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel(err) // one lost range fails the job; stop the rest
-				}
-				failMu.Unlock()
+				fail(err)
 				return
 			}
 			mergeMu.Lock()
 			err = merger.Add(rs)
 			mergeMu.Unlock()
 			if err != nil {
-				failMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel(err)
-				}
-				failMu.Unlock()
+				fail(err)
 				return
 			}
 			c.cRanges.Inc()
@@ -1098,58 +719,15 @@ func (c *Coordinator) executeJob(jb *cjob) {
 
 	runErr := firstErr
 	if runErr == nil {
-		mergeMu.Lock()
 		runErr = merger.Close()
-		mergeMu.Unlock()
 	}
 	if cerr := journal.Close(); cerr != nil && runErr == nil {
 		runErr = fmt.Errorf("journal close: %w", cerr)
 	}
-	c.observeJobSeconds(time.Since(start).Seconds())
-
-	switch cause := context.Cause(ctx); {
-	case runErr == nil:
-		c.compact(jb, spec, merged)
-		c.finish(jb, server.StatusDone, "")
-	case errors.Is(cause, errClientCancel):
-		c.finish(jb, server.StatusCancelled, errClientCancel.Error())
-	case errors.Is(cause, errDrain):
-		// Drain checkpoint: the journal holds the merged prefix; back to
-		// queued for the next start (idempotency keys re-attach worker
-		// jobs that kept running).
-		jb.mu.Lock()
-		jb.st.Status = server.StatusQueued
-		st := jb.st
-		jb.mu.Unlock()
-		c.persist(st)
-		c.cfg.Logf("lggfed: %s checkpointed at %d/%d runs for drain", id, st.Done, st.Total)
-	case errors.Is(cause, errDemote):
-		// Demotion checkpoint: like a drain, the merged prefix stays
-		// durable and worker-side range jobs keep running — the winning
-		// primary (which mirrored this job's state) re-attaches to them
-		// by idempotency key, and so do we if a later failover promotes
-		// us again.
-		jb.mu.Lock()
-		jb.st.Status = server.StatusQueued
-		st := jb.st
-		jb.mu.Unlock()
-		c.persist(st)
-		c.cfg.Logf("lggfed: %s checkpointed at %d/%d runs for demotion", id, st.Done, st.Total)
-	default:
-		c.finish(jb, server.StatusFailed, runErr.Error())
+	if runErr == nil {
+		c.compact(id, spec, merged)
 	}
-}
-
-// countRecovery adjusts a job state's recovery tallies.
-func countRecovery(st *server.JobState, verdict string, delta int) {
-	switch verdict {
-	case "Recovered":
-		st.Recovered += delta
-	case "Degraded":
-		st.Degraded += delta
-	case "Indeterminate":
-		st.Indeterminate += delta
-	}
+	return runErr
 }
 
 // rangeOutcome is one attempt's verdict.
@@ -1200,7 +778,7 @@ func (c *Coordinator) runRange(ctx context.Context, spec server.JobSpec, jobKey 
 		attempts++
 		live++
 		liveOn[w.url]++
-		go func() {
+		c.Go(func(<-chan struct{}) {
 			began := time.Now()
 			rs, err := c.attemptRange(rctx, w, spec, jobKey, rg)
 			// Released here, not in the channel reader: an abandoned
@@ -1208,7 +786,7 @@ func (c *Coordinator) runRange(ctx context.Context, spec server.JobSpec, jobKey 
 			// count against the worker's capacity until it resolves.
 			c.releaseWorker(w.url)
 			outcome <- rangeOutcome{rs: rs, err: err, url: w.url, dur: time.Since(began)}
-		}()
+		})
 		return c.health.lease(w.url, rg.count)
 	}
 	leaseDur := launch()
@@ -1278,9 +856,10 @@ func (c *Coordinator) stuckAttempts(liveOn map[string]int) int {
 // (deterministic idempotency key → retries, coordinator restarts and
 // failovers re-attach, never duplicate), poll to terminal, fetch and
 // sanity-check the results. A context cancelled mid-wait (a steal won,
-// or the job was cancelled) hands the abandoned worker-side job to the
-// retrying reaper — except on drain, where worker jobs survive by
-// design so the next coordinator re-attaches to them.
+// the job was cancelled, or another range failed it) hands the
+// abandoned worker-side job to the retrying reaper — except on a drain
+// or demotion checkpoint, where worker jobs survive by design so the
+// next primary re-attaches to them.
 func (c *Coordinator) attemptRange(ctx context.Context, w *worker, spec server.JobSpec, jobKey string, rg runRange) ([]sweep.Result, error) {
 	spec.RunStart, spec.RunCount = rg.start, rg.count
 	spec.IdempotencyKey = fmt.Sprintf("%s/%d+%d", jobKey, rg.start, rg.count)
@@ -1291,8 +870,8 @@ func (c *Coordinator) attemptRange(ctx context.Context, w *worker, spec server.J
 	workerJob := st.ID
 	st, err = w.cli.Wait(ctx, workerJob, c.cfg.Poll)
 	if err != nil {
-		if ctx.Err() != nil && !errors.Is(context.Cause(ctx), errDrain) {
-			go c.reap(w, workerJob)
+		if ctx.Err() != nil && !server.Checkpointed(ctx) {
+			c.Go(func(stop <-chan struct{}) { c.reap(stop, w, workerJob) })
 		}
 		return nil, fmt.Errorf("wait: %w", err)
 	}
@@ -1318,16 +897,14 @@ func (c *Coordinator) attemptRange(ctx context.Context, w *worker, spec server.J
 // race or the client cancelled the coordinator job) with retries and
 // doubling backoff; a job the reaper finally gives up on is surfaced on
 // lggfed_reap_failures_total instead of silently leaking worker
-// capacity. A coordinator drain aborts the loop: worker jobs survive a
-// drain on purpose, so the restarted coordinator re-attaches to them by
-// idempotency key.
-func (c *Coordinator) reap(w *worker, workerJob string) {
+// capacity. A coordinator drain (stop) aborts the retries.
+func (c *Coordinator) reap(stop <-chan struct{}, w *worker, workerJob string) {
 	backoff := c.cfg.ReapBackoff
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.ReapAttempts; attempt++ {
 		if attempt > 0 {
 			select {
-			case <-c.stopc:
+			case <-stop:
 				return
 			case <-time.After(backoff):
 			}
@@ -1355,8 +932,7 @@ func (c *Coordinator) reap(w *worker, workerJob string) {
 // healthy fleet would silently age out), members past DeadAfter are
 // removed, and the fleet gauges — including the per-worker health
 // export — are refreshed.
-func (c *Coordinator) membershipLoop() {
-	defer c.wg.Done()
+func (c *Coordinator) membershipLoop(stop <-chan struct{}) {
 	tick := c.cfg.SuspectAfter / 8
 	if tick < 50*time.Millisecond {
 		tick = 50 * time.Millisecond
@@ -1366,7 +942,7 @@ func (c *Coordinator) membershipLoop() {
 	}
 	for {
 		select {
-		case <-c.stopc:
+		case <-stop:
 			return
 		case <-time.After(c.jitter(tick)):
 		}
@@ -1408,34 +984,6 @@ func (c *Coordinator) membershipRound() {
 	c.updateFleetMetrics()
 }
 
-// gossipLoop anti-entropies fleet views with peer coordinators: each
-// jittered round fetches every peer's /v1/fleet and merges it (ages
-// only ever advance freshness, and peer-dead members are not
-// resurrected), so coordinators converge on the same worker set without
-// a shared seed list.
-func (c *Coordinator) gossipLoop(peers []*client.Client) {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.stopc:
-			return
-		case <-time.After(c.jitter(c.cfg.AntiEntropy)):
-		}
-		for _, p := range peers {
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.JoinPingTimeout)
-			ms, err := p.Fleet(ctx)
-			cancel()
-			if err != nil {
-				continue // peer down or not yet up; next round
-			}
-			for _, url := range c.members.merge(ms) {
-				c.ensureWorker(url)
-			}
-		}
-		c.updateFleetMetrics()
-	}
-}
-
 // updateFleetMetrics refreshes the fleet gauges, including one gauge
 // set per worker (suffixed with the sanitised worker address) so
 // brown-outs and adaptive leases are observable per worker.
@@ -1453,15 +1001,15 @@ func (c *Coordinator) updateFleetMetrics() {
 		if row.state != stateAlive {
 			state = 0
 		}
-		c.reg.Gauge("lggfed_worker_state_"+sfx, "Worker liveness (1 alive, 0 suspect).").Set(state)
+		c.cfg.Registry.Gauge("lggfed_worker_state_"+sfx, "Worker liveness (1 alive, 0 suspect).").Set(state)
 		brown := int64(0)
 		if h.BrownedOut {
 			brown = 1
 		}
-		c.reg.Gauge("lggfed_worker_browned_out_"+sfx, "Worker brown-out (1 browned out).").Set(brown)
-		c.reg.Gauge("lggfed_worker_milli_runs_per_sec_"+sfx, "EWMA service rate in milli-runs per second.").Set(int64(h.EWMARunsPerSec * 1000))
-		c.reg.Gauge("lggfed_worker_failures_"+sfx, "Failed range attempts on this worker.").Set(h.Failures)
-		c.reg.Gauge("lggfed_worker_lease_ms_"+sfx, "Adaptive straggler lease in milliseconds.").Set(h.LeaseMS)
+		c.cfg.Registry.Gauge("lggfed_worker_browned_out_"+sfx, "Worker brown-out (1 browned out).").Set(brown)
+		c.cfg.Registry.Gauge("lggfed_worker_milli_runs_per_sec_"+sfx, "EWMA service rate in milli-runs per second.").Set(int64(h.EWMARunsPerSec * 1000))
+		c.cfg.Registry.Gauge("lggfed_worker_failures_"+sfx, "Failed range attempts on this worker.").Set(h.Failures)
+		c.cfg.Registry.Gauge("lggfed_worker_lease_ms_"+sfx, "Adaptive straggler lease in milliseconds.").Set(h.LeaseMS)
 	}
 	c.gSuspect.Set(int64(suspect))
 	c.gBrowned.Set(int64(c.health.brownedOut()))
@@ -1490,67 +1038,27 @@ func metricSuffix(url string) string {
 // compact distils a finished job into per-cell summaries in the result
 // index. Compaction failures are logged, not fatal — the merged journal
 // remains the source of truth.
-func (c *Coordinator) compact(jb *cjob, spec server.JobSpec, merged []sweep.Result) {
-	st := jb.state()
-	n, err := c.rstore.compact(st.ID, spec, merged, c.cfg.KeepJournals, c.ledger.RemoveJournal)
+func (c *Coordinator) compact(id string, spec server.JobSpec, merged []sweep.Result) {
+	n, err := c.rstore.compact(id, spec, merged, c.cfg.KeepJournals, func(evict string) {
+		// Best effort: a journal left behind is harmless.
+		_ = os.Remove(c.JournalPath(evict))
+	})
 	if err != nil {
-		c.cfg.Logf("lggfed: compact %s: %v", st.ID, err)
+		c.cfg.Logf("lggfed: compact %s: %v", id, err)
 		return
 	}
 	c.cCells.Add(int64(n))
 }
 
-// Draining reports whether admission is closed.
-func (c *Coordinator) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
-
-// Drain gracefully stops the coordinator: admission closes immediately,
-// queued jobs stay durably queued, in-flight jobs get until ctx's
-// deadline before being checkpointed mid-merge (their journals keep the
-// merged prefix; worker-side range jobs keep running and are re-attached
-// by idempotency key on the next start). A standby's follow loop stops
-// the same way.
+// Drain gracefully stops the coordinator: the plane's drain (admission
+// closes, queued jobs stay durably queued, in-flight jobs get until
+// ctx's deadline before being checkpointed mid-merge, with worker-side
+// range jobs left running to be re-attached by idempotency key on the
+// next start) also stops the follow, guard and membership loops; the
+// result index closes last.
 func (c *Coordinator) Drain(ctx context.Context) error {
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		return fmt.Errorf("federation: already draining")
-	}
-	c.draining = true
-	c.mu.Unlock()
-	close(c.stopc)
-
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		c.mu.Lock()
-		running := make([]*cjob, 0, len(c.order))
-		for _, id := range c.order {
-			running = append(running, c.jobs[id])
-		}
-		c.mu.Unlock()
-		for _, jb := range running {
-			jb.mu.Lock()
-			cancel := jb.cancel
-			active := jb.st.Status == server.StatusRunning
-			jb.mu.Unlock()
-			if active && cancel != nil {
-				cancel(errDrain)
-			}
-		}
-		<-done
-	}
-	if err := c.rstore.close(); err != nil {
-		c.ledger.Close()
+	if err := c.Plane.Drain(ctx); err != nil {
 		return err
 	}
-	return c.ledger.Close()
+	return c.rstore.close()
 }

@@ -261,51 +261,6 @@ func TestRangesRerouteAroundDeadWorker(t *testing.T) {
 	}
 }
 
-func TestTenantQueueFairShareAndQuota(t *testing.T) {
-	q := newTenantQueue(2, 10)
-	mk := func(id string) *cjob { return &cjob{st: server.JobState{ID: id}} }
-
-	// Tenant a floods first; b submits one job later. Fair-share pops
-	// must alternate a, b rather than draining a's backlog first.
-	a1, a2, b1 := mk("a1"), mk("a2"), mk("b1")
-	q.push("a", a1)
-	q.push("a", a2)
-	q.push("b", b1)
-
-	if got := q.pop(); got != a1 {
-		t.Fatalf("pop 1: got %s, want a1", got.st.ID)
-	}
-	if got := q.pop(); got != b1 {
-		t.Fatalf("pop 2: got %s, want b1 (fair share)", got.st.ID)
-	}
-	if got := q.pop(); got != a2 {
-		t.Fatalf("pop 3: got %s, want a2", got.st.ID)
-	}
-	if q.pop() != nil {
-		t.Fatal("pop 4: queue should be empty")
-	}
-
-	// a still holds 2 live jobs (popped but not released) → over quota;
-	// b holds 1 → admissible.
-	if over, _ := q.admissible("a"); !over {
-		t.Fatal("tenant a should be over its quota of 2")
-	}
-	if over, _ := q.admissible("b"); over {
-		t.Fatal("tenant b should be under quota")
-	}
-	q.release("a")
-	if over, _ := q.admissible("a"); over {
-		t.Fatal("tenant a should be admissible after a release")
-	}
-
-	// Shared depth bound.
-	q2 := newTenantQueue(0, 1)
-	q2.push("x", mk("x1"))
-	if _, full := q2.admissible("y"); !full {
-		t.Fatal("queue of depth 1 with 1 queued should be full")
-	}
-}
-
 func TestTenantQuotaRefusesWithRetryAfterHTTP(t *testing.T) {
 	// A worker that naps per run keeps jobs live long enough for the
 	// quota to bite.

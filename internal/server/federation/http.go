@@ -1,21 +1,17 @@
 package federation
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"repro/internal/server"
 )
 
-// Handler returns the coordinator's HTTP API. The job surface is
-// deliberately identical to a single daemon's (same paths, same
-// request/response bodies, same 429/503 + Retry-After backpressure), so
-// any lggd client — including cmd/lggsweep -remote — can point at a
+// routes adds the coordinator's own routes to the plane's HTTP API. The
+// job surface is the plane's — the same paths, request/response bodies
+// and 429/503 + Retry-After backpressure as a single daemon — so any
+// lggd client, including cmd/lggsweep -remote, can point at a
 // coordinator unchanged. On top:
 //
 //	POST /v1/fleet/join          a worker registers itself ({"url": ...},
@@ -35,129 +31,15 @@ import (
 // A standby coordinator serves the same surface read-only: submissions
 // are refused with 503 + Retry-After until a failover promotes it, and
 // /readyz reports unready.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, c.Jobs())
+func (c *Coordinator) routes() {
+	c.Handle("POST /v1/fleet/join", c.handleJoin)
+	c.Handle("GET /v1/fleet", func(w http.ResponseWriter, _ *http.Request) {
+		server.WriteJSON(w, http.StatusOK, c.FleetMembers())
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := c.Job(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, "no such job")
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
+	c.Handle("GET /v1/coordinator/status", func(w http.ResponseWriter, _ *http.Request) {
+		server.WriteJSON(w, http.StatusOK, c.Status())
 	})
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := c.Cancel(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, "no such job")
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/results", c.handleResults)
-	mux.HandleFunc("POST /v1/fleet/join", c.handleJoin)
-	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, c.FleetMembers())
-	})
-	mux.HandleFunc("GET /v1/coordinator/status", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, c.Status())
-	})
-	mux.HandleFunc("GET /v1/results", c.handleSummaries)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		switch {
-		case c.Draining():
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "draining")
-		case c.Standby():
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "standby")
-		default:
-			fmt.Fprintln(w, "ready")
-		}
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := c.reg.WriteProm(w); err != nil {
-			c.cfg.Logf("lggfed: metrics write: %v", err)
-		}
-	})
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{fmt.Sprintf(format, args...)})
-}
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec server.JobSpec
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if len(bytes.TrimSpace(body)) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, "decode spec: %v", err)
-			return
-		}
-	}
-	st, created, err := c.Admit(spec, r.Header.Get("Idempotency-Key"))
-	if err != nil {
-		var u *server.Unavailable
-		if errors.As(err, &u) {
-			w.Header().Set("Retry-After", strconv.Itoa(u.RetryAfter))
-			code := http.StatusTooManyRequests
-			if u.Draining || u.Standby {
-				code = http.StatusServiceUnavailable
-			}
-			writeError(w, code, "%s", u.Error())
-			return
-		}
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	code := http.StatusAccepted
-	if !created {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
-}
-
-// handleResults streams the job's merged journal with the exact framing
-// a single daemon uses (server.StreamJournal), following live merges
-// until the job is terminal. A follower therefore reads results in
-// global index order as the contiguous merged prefix grows, no matter
-// which workers produced them or in what order.
-func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	c.mu.Lock()
-	jb, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	server.StreamJournal(w, r, c.ledger.JournalPath(id), jb.terminal, jb.doneCh, c.stopc)
+	c.Handle("GET /v1/results", c.handleSummaries)
 }
 
 // joinRequest is the body of POST /v1/fleet/join. Workers re-POST it
@@ -176,27 +58,27 @@ type joinRequest struct {
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode join: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "decode join: %v", err)
 		return
 	}
 	if req.URL == "" {
-		writeError(w, http.StatusBadRequest, "join: url is required")
+		server.WriteError(w, http.StatusBadRequest, "join: url is required")
 		return
 	}
 	if c.Draining() {
-		writeError(w, http.StatusServiceUnavailable, "coordinator draining")
+		server.WriteError(w, http.StatusServiceUnavailable, "coordinator draining")
 		return
 	}
 	if req.Capacity < 0 {
-		writeError(w, http.StatusBadRequest, "join: capacity_runs_per_sec must be non-negative")
+		server.WriteError(w, http.StatusBadRequest, "join: capacity_runs_per_sec must be non-negative")
 		return
 	}
 	if err := c.addWorker(req.URL, true); err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	c.health.declare(req.URL, req.Capacity)
-	writeJSON(w, http.StatusOK, struct {
+	server.WriteJSON(w, http.StatusOK, struct {
 		Workers int `json:"workers"`
 	}{len(c.Fleet())})
 }
@@ -211,5 +93,5 @@ func (c *Coordinator) handleSummaries(w http.ResponseWriter, r *http.Request) {
 		Network: q.Get("network"),
 		Router:  q.Get("router"),
 	})
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }

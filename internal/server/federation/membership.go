@@ -8,15 +8,15 @@ import (
 	"repro/internal/server"
 )
 
-// Fleet membership with gossip-friendly ageing. The coordinator no
-// longer trusts a static -fleet list: every worker contact (a join, a
-// completed range, a probe) refreshes that member's lastSeen, members
-// past the suspicion threshold are dispatched to only as a last resort,
-// and members past the death threshold are dropped so their leases stop
-// being renewed. Coordinators exchange views as []server.FleetMember
-// carrying AGES, not timestamps — receiver-side ages are reconstructed
-// as now−AgeMS, so two coordinators' clocks never need to agree, only
-// tick at the same rate (which wall clocks do).
+// Fleet membership with age-based liveness. The coordinator does not
+// trust a static -fleet list: every worker contact (a join, a completed
+// range, a probe) refreshes that member's lastSeen, members past the
+// suspicion threshold are dispatched to only as a last resort, and
+// members past the death threshold are dropped so their leases stop
+// being renewed. A standby mirrors its primary's view as
+// []server.FleetMember carrying AGES, not timestamps — receiver-side
+// ages are reconstructed as now−AgeMS, so two coordinators' clocks never
+// need to agree, only tick at the same rate (which wall clocks do).
 
 // Member liveness states served at GET /v1/fleet.
 const (
@@ -76,12 +76,12 @@ func (m *membership) observe(url string) bool {
 	return true
 }
 
-// merge folds a peer coordinator's fleet view into this one and returns
-// the URLs that were previously unknown (so the coordinator can build
-// clients for them). A peer's claim only ever advances freshness: a
-// member is adopted or refreshed when the peer heard from it more
-// recently (smaller age) than we did. Members the peer itself already
-// considers dead are not resurrected.
+// merge folds another coordinator's fleet view (a standby's primary)
+// into this one and returns the URLs that were previously unknown (so
+// the coordinator can build clients for them). A peer's claim only ever
+// advances freshness: a member is adopted or refreshed when the peer
+// heard from it more recently (smaller age) than we did. Members the
+// peer itself already considers dead are not resurrected.
 func (m *membership) merge(peers []server.FleetMember) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()

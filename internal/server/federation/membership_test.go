@@ -1,11 +1,7 @@
 package federation
 
 import (
-	"context"
-	"net/http"
-	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -161,64 +157,4 @@ func TestMembershipMergeNeverRegressesFreshness(t *testing.T) {
 	if m.view()[0].age != 0 {
 		t.Fatalf("stale gossip regressed freshness: age %v", m.view()[0].age)
 	}
-}
-
-// deferredServer starts an httptest server whose handler is installed
-// later — two coordinators can then be constructed with each other's
-// URLs as gossip peers before either handler exists.
-func deferredServer(t *testing.T) (*httptest.Server, func(http.Handler)) {
-	t.Helper()
-	var h atomic.Pointer[http.Handler]
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hp := h.Load()
-		if hp == nil {
-			http.Error(w, "not ready", http.StatusServiceUnavailable)
-			return
-		}
-		(*hp).ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	return ts, func(handler http.Handler) { h.Store(&handler) }
-}
-
-// TestGossipConvergesCoordinatorsWithoutSeedOverlap is the end-to-end
-// version: coordinator A is seeded only with w1, B only with w2, and
-// jittered anti-entropy rounds converge both on {w1, w2}.
-func TestGossipConvergesCoordinatorsWithoutSeedOverlap(t *testing.T) {
-	_, w1 := newWorker(t, nil)
-	_, w2 := newWorker(t, nil)
-	tsA, setA := deferredServer(t)
-	tsB, setB := deferredServer(t)
-
-	mk := func(seed, peer string) *Coordinator {
-		c, err := New(Config{
-			StateDir:    t.TempDir(),
-			Workers:     []string{seed},
-			Peers:       []string{peer},
-			AntiEntropy: 20 * time.Millisecond,
-			FindGrid:    unitResolver(nil),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			_ = c.Drain(ctx)
-		})
-		return c
-	}
-	a := mk(w1, tsB.URL)
-	setA(a.Handler())
-	b := mk(w2, tsA.URL)
-	setB(b.Handler())
-
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(a.Fleet()) == 2 && len(b.Fleet()) == 2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("gossip never converged: a=%v b=%v", a.Fleet(), b.Fleet())
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -172,11 +173,24 @@ func TestPromotedPrimaryDemotesToHigherAuthority(t *testing.T) {
 	}))
 	defer winner.Close()
 
+	// Hold the workers once the first two ranges (runs 0-3, the only
+	// ones in flight while the fleet's two range slots are busy) have
+	// built: the job gets in flight but cannot finish until the test
+	// has seen it checkpointed by the demotion.
+	var builds atomic.Int64
+	hold := make(chan struct{})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(hold) }) }
 	var urls []string
 	for i := 0; i < 2; i++ {
-		_, url := newWorker(t, func() { time.Sleep(100 * time.Millisecond) })
+		_, url := newWorker(t, func() {
+			if builds.Add(1) > 4 {
+				<-hold
+			}
+		})
 		urls = append(urls, url)
 	}
+	t.Cleanup(release) // before the workers drain: held runs cannot see a cancel
 	reg := metrics.NewRegistry()
 	c, _ := newCoordinator(t, Config{
 		Rank:          1,
@@ -243,6 +257,7 @@ func TestPromotedPrimaryDemotesToHigherAuthority(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	release()
 
 	// Re-mirror: the winner's job ledger folds into ours while we follow.
 	remirrored := time.Now().Add(20 * time.Second)

@@ -48,8 +48,7 @@ import (
 // followLoop is a standby's main loop: poll every upstream, mirror the
 // live primary claimant, and promote only when the whole upstream chain
 // has gone quiet. Runs until promotion or drain.
-func (c *Coordinator) followLoop() {
-	defer c.wg.Done()
+func (c *Coordinator) followLoop(stop <-chan struct{}) {
 	last := make([]time.Time, len(c.upstreams))
 	now := c.cfg.Now()
 	for i := range last {
@@ -61,7 +60,7 @@ func (c *Coordinator) followLoop() {
 	}
 	for {
 		select {
-		case <-c.stopc:
+		case <-stop:
 			return
 		case <-time.After(c.jitter(c.cfg.Heartbeat)):
 		}
@@ -124,10 +123,7 @@ func (c *Coordinator) noteEpoch(epoch int64) {
 
 // mirror folds one primary heartbeat into the standby: the fleet view
 // into membership (ensuring client handles for new workers) and every
-// job into the standby's own ledger. In-memory state tracks every
-// change; the ledger is appended only on Status/Error/Total
-// transitions — not per-run Done increments — so mirroring a busy
-// primary does not fsync per result line.
+// job into the plane, which keeps its own ledger of them.
 func (c *Coordinator) mirror(st server.CoordStatus) {
 	for _, url := range c.members.merge(st.Fleet) {
 		c.ensureWorker(url)
@@ -136,103 +132,33 @@ func (c *Coordinator) mirror(st server.CoordStatus) {
 	c.mirrorEpoch = st.Epoch
 	c.mu.Unlock()
 	for _, js := range st.Jobs {
-		c.mirrorJob(js)
-	}
-}
-
-func (c *Coordinator) mirrorJob(js server.JobState) {
-	c.mu.Lock()
-	jb, known := c.jobs[js.ID]
-	if !known {
-		jb = &cjob{st: js, doneCh: make(chan struct{})}
-		if js.Status.Terminal() {
-			close(jb.doneCh)
-		}
-		if n, ok := jobIDNumber(js.ID); ok && n >= c.nextID {
-			c.nextID = n + 1
-		}
-		if js.Spec.IdempotencyKey != "" {
-			c.keys[js.Spec.IdempotencyKey] = js.ID
-		}
-		c.jobs[js.ID] = jb
-		c.order = append(c.order, js.ID)
-		c.mu.Unlock()
-		c.persist(js)
-		return
-	}
-	c.mu.Unlock()
-	jb.mu.Lock()
-	transition := jb.st.Status != js.Status || jb.st.Error != js.Error || jb.st.Total != js.Total
-	wasTerminal := jb.st.Status.Terminal()
-	changed := transition || jb.st.Done != js.Done ||
-		jb.st.Recovered != js.Recovered || jb.st.Degraded != js.Degraded ||
-		jb.st.Indeterminate != js.Indeterminate
-	if changed {
-		jb.st = js
-	}
-	if !wasTerminal && js.Status.Terminal() {
-		close(jb.doneCh)
-	}
-	jb.mu.Unlock()
-	if transition {
-		c.persist(js)
+		c.Mirror(js)
 	}
 }
 
 // promote flips a standby into the primary role: the epoch advances
 // past every one this coordinator has seen (mirrored or merely
-// observed), every non-terminal job is re-queued, the dispatchers
-// start, and — when there is an upstream chain to defer to — so does
-// the guard loop that will demote us if a better claimant reappears.
-// Draining or already-promoted coordinators ignore the call.
+// observed), then the plane re-queues every non-terminal job and
+// dispatches, and — when there is an upstream chain to defer to — the
+// guard loop starts that will demote us if a better claimant reappears.
+// The epoch is set before the role flips, so whoever sees a primary
+// sees its new epoch. A draining coordinator ignores the call.
 func (c *Coordinator) promote() {
 	c.mu.Lock()
-	if c.draining || !c.standby {
-		c.mu.Unlock()
+	c.epoch = max(c.mirrorEpoch, c.maxSeenEpoch) + 1
+	epoch := c.epoch
+	c.gEpoch.Set(epoch)
+	c.mu.Unlock()
+	requeued, ok := c.LeaveStandby()
+	if !ok {
 		return
 	}
-	c.standby = false
-	base := c.mirrorEpoch
-	if c.maxSeenEpoch > base {
-		base = c.maxSeenEpoch
-	}
-	c.epoch = base + 1
-	epoch := c.epoch
-	c.reignc = make(chan struct{})
-	var requeued []server.JobState
-	for _, id := range c.order {
-		jb := c.jobs[id]
-		jb.mu.Lock()
-		if !jb.st.Status.Terminal() {
-			jb.st.Status = server.StatusQueued
-			c.queue.push(jb.st.Spec.Tenant, jb)
-			requeued = append(requeued, jb.st)
-		}
-		jb.mu.Unlock()
-	}
-	c.gQueue.Set(int64(c.queue.pending()))
-	c.mu.Unlock()
-
-	for _, st := range requeued {
-		c.persist(st)
-	}
-	c.gEpoch.Set(epoch)
-	c.gStandby.Set(0)
 	c.cFailovers.Inc()
-	c.wg.Add(c.cfg.Jobs)
-	for i := 0; i < c.cfg.Jobs; i++ {
-		go c.dispatcher()
-	}
 	if len(c.upstreams) > 0 {
-		c.wg.Add(1)
-		go c.guardLoop()
-	}
-	select {
-	case c.wake <- struct{}{}:
-	default:
+		c.Go(c.guardLoop)
 	}
 	c.cfg.Logf("lggfed: upstream chain unresponsive for %v; rank %d assuming leadership at epoch %d (%d jobs resumed)",
-		c.cfg.FailoverAfter, c.cfg.Rank, epoch, len(requeued))
+		c.cfg.FailoverAfter, c.cfg.Rank, epoch, requeued)
 }
 
 // guardLoop runs while this coordinator is acting primary, polling the
@@ -242,11 +168,10 @@ func (c *Coordinator) promote() {
 // wins, and this coordinator demotes itself. The loop exits on drain or
 // after one demotion (demote restarts the follow loop, and a later
 // promotion starts a fresh guard).
-func (c *Coordinator) guardLoop() {
-	defer c.wg.Done()
+func (c *Coordinator) guardLoop(stop <-chan struct{}) {
 	for {
 		select {
-		case <-c.stopc:
+		case <-stop:
 			return
 		case <-time.After(c.jitter(c.cfg.Heartbeat)):
 		}
@@ -276,49 +201,24 @@ func (c *Coordinator) guardLoop() {
 }
 
 // demote steps an acting primary back down to standby after the guard
-// loop found a better claimant: admission flips to the standby refusal,
-// the dispatchers retire (reignc), the dispatch queue is rebuilt empty,
-// and every running job is checkpointed with errDemote — journals keep
-// their merged prefix and worker-side range jobs keep running, to be
-// re-attached by idempotency key (by the winner now, by us if we are
-// ever promoted again). The follow loop restarts, mirroring the winner.
+// loop found a better claimant: the plane refuses admission as a
+// standby, stops dispatching, empties its queue and checkpoints every
+// running job — journals keep their merged prefix and worker-side range
+// jobs keep running, to be re-attached by idempotency key (by the
+// winner now, by us if we are ever promoted again). The follow loop
+// restarts, mirroring the winner.
 func (c *Coordinator) demote(winner string, st server.CoordStatus) {
 	c.mu.Lock()
-	if c.draining || c.standby {
-		c.mu.Unlock()
+	c.maxSeenEpoch = max(c.maxSeenEpoch, st.Epoch)
+	myEpoch := c.epoch
+	c.mu.Unlock()
+	// Counted before the role flips, so whoever sees the standby sees
+	// the demotion.
+	c.cDemotions.Inc()
+	if !c.EnterStandby() {
 		return
 	}
-	c.standby = true
-	if st.Epoch > c.maxSeenEpoch {
-		c.maxSeenEpoch = st.Epoch
-	}
-	myEpoch := c.epoch
-	close(c.reignc)
-	// A fresh queue, not a drained one: every queued job's state is
-	// already durable and mirrored by the winner; local dispatch simply
-	// stops claiming it. release() guards against underflow, so quota
-	// refunds from still-finishing jobs stay safe against the rebuild.
-	c.queue = newTenantQueue(c.cfg.TenantQuota, c.cfg.QueueDepth)
-	c.gQueue.Set(0)
-	running := make([]*cjob, 0, len(c.order))
-	for _, id := range c.order {
-		running = append(running, c.jobs[id])
-	}
-	c.mu.Unlock()
-
-	for _, jb := range running {
-		jb.mu.Lock()
-		cancel := jb.cancel
-		active := jb.st.Status == server.StatusRunning
-		jb.mu.Unlock()
-		if active && cancel != nil {
-			cancel(errDemote)
-		}
-	}
-	c.gStandby.Set(1)
-	c.cDemotions.Inc()
 	c.cfg.Logf("lggfed: %s claims primary at epoch %d rank %d, ahead of our epoch %d rank %d; stepping down to standby",
 		winner, st.Epoch, st.Rank, myEpoch, c.cfg.Rank)
-	c.wg.Add(1)
-	go c.followLoop()
+	c.Go(c.followLoop)
 }

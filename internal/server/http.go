@@ -12,13 +12,14 @@ import (
 	"time"
 )
 
-// Handler returns the daemon's HTTP API:
+// routes registers the job surface, shared by both front ends:
 //
 //	POST   /v1/jobs              submit a job (JobSpec body); 202 on
 //	                             admission, 200 when an Idempotency-Key
 //	                             matches an existing job, 429 + Retry-After
-//	                             when the queue sheds, 503 + Retry-After
-//	                             while draining
+//	                             when the queue or a tenant quota sheds,
+//	                             503 + Retry-After while draining or in
+//	                             standby
 //	GET    /v1/jobs              list all jobs
 //	GET    /v1/jobs/{id}         one job's state
 //	DELETE /v1/jobs/{id}         cancel (queued: immediate; running:
@@ -27,46 +28,72 @@ import (
 //	                             following live output until the job is
 //	                             terminal
 //	GET    /healthz              process liveness (always 200)
-//	GET    /readyz               admission readiness (503 while draining)
+//	GET    /readyz               admission readiness (503 while draining
+//	                             or in standby)
 //	GET    /metrics              Prometheus text metrics
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/results", s.handleResults)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		s.cHTTP.Inc()
+func (p *Plane) routes() {
+	p.Handle("POST /v1/jobs", p.handleSubmit)
+	p.Handle("GET /v1/jobs", func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, http.StatusOK, p.Jobs())
+	})
+	p.Handle("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		st, ok := p.Job(r.PathValue("id"))
+		if !ok {
+			WriteError(w, http.StatusNotFound, "no such job")
+			return
+		}
+		WriteJSON(w, http.StatusOK, st)
+	})
+	p.Handle("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		st, ok := p.Cancel(r.PathValue("id"))
+		if !ok {
+			WriteError(w, http.StatusNotFound, "no such job")
+			return
+		}
+		WriteJSON(w, http.StatusOK, st)
+	})
+	p.Handle("GET /v1/jobs/{id}/results", p.handleResults)
+	p.Handle("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		s.cHTTP.Inc()
+	p.Handle("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if s.Draining() {
+		switch {
+		case p.Draining():
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintln(w, "draining")
-			return
+		case p.Standby():
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprintln(w, "standby")
+		default:
+			fmt.Fprintln(w, "ready")
 		}
-		fmt.Fprintln(w, "ready")
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		s.cHTTP.Inc()
+	p.Handle("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := s.reg.WriteProm(w); err != nil {
-			s.cfg.Logf("lggd: metrics write: %v", err)
+		if err := p.cfg.Registry.WriteProm(w); err != nil {
+			p.cfg.Logf("%s: metrics write: %v", p.role.Name, err)
 		}
 	})
-	return mux
 }
 
-// apiError is the JSON error body.
-type apiError struct {
-	Error string `json:"error"`
+// Handle adds a route to the plane's HTTP API, counted in its
+// http_requests_total like the job routes. A front end registers its
+// own routes this way before serving Handler.
+func (p *Plane) Handle(pattern string, h http.HandlerFunc) {
+	p.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		p.cHTTP.Inc()
+		h(w, r)
+	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// Handler returns the plane's HTTP API: the job surface plus any routes
+// added with Handle.
+func (p *Plane) Handler() http.Handler { return p.mux }
+
+// WriteJSON writes v as an indented JSON response with status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -74,27 +101,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
+// WriteError writes the JSON error body {"error": ...} with status.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, struct {
+		Error string `json:"error"`
+	}{fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.cHTTP.Inc()
+func (p *Plane) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	if len(bytes.TrimSpace(body)) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, "decode spec: %v", err)
+			WriteError(w, http.StatusBadRequest, "decode spec: %v", err)
 			return
 		}
 	}
-	st, created, err := s.Admit(spec, r.Header.Get("Idempotency-Key"))
+	st, created, err := p.Admit(spec, r.Header.Get("Idempotency-Key"))
 	if err != nil {
 		var u *Unavailable
 		if errors.As(err, &u) {
@@ -103,60 +132,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if u.Draining || u.Standby {
 				code = http.StatusServiceUnavailable
 			}
-			writeError(w, code, "%s", u.Error())
+			WriteError(w, code, "%s", u.Error())
 			return
 		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	code := http.StatusAccepted
 	if !created {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, st)
-}
-
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	s.cHTTP.Inc()
-	writeJSON(w, http.StatusOK, s.Jobs())
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.cHTTP.Inc()
-	st, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	s.cHTTP.Inc()
-	st, ok := s.Cancel(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, code, st)
 }
 
 // handleResults streams a job's sweep journal as JSONL (the header line
 // is stripped; each line is one sweep.Result). For a live job the stream
-// follows the journal — results appear as runs finish — and ends when
-// the job reaches a terminal state. The stream also ends, possibly
-// mid-job, if the client disconnects or the daemon drains.
-func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	s.cHTTP.Inc()
+// follows the journal — results appear as runs finish, or as a
+// coordinator merges them in global index order — and ends when the job
+// reaches a terminal state. The stream also ends, possibly mid-job, if
+// the client disconnects or the plane drains.
+func (p *Plane) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	jb, ok := s.jobs[id]
-	s.mu.Unlock()
+	p.mu.Lock()
+	jb, ok := p.jobs[id]
+	p.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	StreamJournal(w, r, s.store.journalPath(id), jb.terminal, jb.doneCh, s.stopc)
+	StreamJournal(w, r, p.store.journalPath(id), jb.terminal, jb.doneCh, p.stopc)
 }
 
 // lineFramer reassembles whole journal lines from arbitrary read
@@ -202,13 +206,11 @@ func (l *lineFramer) feed(chunk []byte, emit func(line []byte) error) (wrote boo
 // stream mid-job (daemon drain), as does the client disconnecting.
 // A missing journal is waited for while the job is live and served as
 // an empty complete stream if the job went terminal without producing
-// one. Both the single daemon and the federation coordinator serve
-// results through this path, so a follower sees identical framing
-// either way.
+// one.
 func StreamJournal(w http.ResponseWriter, r *http.Request, path string, terminal func() bool, done, stop <-chan struct{}) {
 	f, err := waitForJournal(r, path, terminal, done, stop)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -37,10 +37,11 @@ type JobSpec struct {
 	// same key returns the first job instead of admitting a new one. The
 	// Idempotency-Key HTTP header takes precedence when both are set.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
-	// Tenant names the submitting tenant for admission accounting. A
-	// single daemon records it but does not discriminate; the federation
-	// coordinator enforces per-tenant quotas and fair-share dispatch on
-	// it. Empty means the default tenant.
+	// Tenant names the submitting tenant for admission accounting. Both
+	// front ends dispatch round-robin across tenants with queued jobs,
+	// FIFO within a tenant; the federation coordinator also caps each
+	// tenant's live jobs at its quota, a single daemon sets none. Empty
+	// means the default tenant.
 	Tenant string `json:"tenant,omitempty"`
 	// RunStart / RunCount restrict the job to the contiguous run-index
 	// range [RunStart, RunStart+RunCount) of the grid enumeration — the

@@ -26,15 +26,17 @@
 //     in-flight jobs finish within the caller's grace, then cancels
 //     them so their journals hold the finished prefix, flushes, and
 //     returns. Nothing is lost; the next start picks the work back up.
+//
+// All of that lives in the job plane (plane.go), which the federation
+// coordinator shares: a Server is the plane with a local executor, a
+// coordinator the same plane with an executor that shards each job
+// across a worker fleet.
 package server
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/experiments"
@@ -66,7 +68,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Daemon metric names.
+// Daemon metric names. A coordinator's plane exports the same series
+// under the lggfed_ prefix.
 const (
 	MetricQueueDepth   = "lggd_queue_depth"
 	MetricInflight     = "lggd_inflight_jobs"
@@ -82,398 +85,44 @@ const (
 	MetricHTTPRequests = "lggd_http_requests_total"
 )
 
-// errDrain marks a cancellation caused by a graceful drain: the job is
-// checkpointed and left resumable, unlike a client cancel.
-var errDrain = errors.New("server: draining")
-
-// errClientCancel marks a client-requested cancellation (terminal).
-var errClientCancel = errors.New("server: cancelled by client")
-
-// job is the in-memory state of one job. Lock order: Server.mu before
-// job.mu; never the reverse.
-type job struct {
-	mu              sync.Mutex
-	st              JobState
-	cancel          context.CancelCauseFunc // non-nil while running
-	cancelRequested bool
-	doneCh          chan struct{} // closed when the job reaches a terminal status
-}
-
-// state returns a consistent snapshot.
-func (j *job) state() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.st
-}
-
-func (j *job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.st.Status.Terminal()
-}
-
-// Server executes sweep jobs from a bounded queue with durable state.
-// Construct with New, serve its Handler, and stop with Drain.
+// Server is a single daemon: the job plane with a local executor that
+// runs each job through sweep.Runner on this machine. Construct with
+// New, serve its Handler, and stop with Drain.
 type Server struct {
-	cfg   Config
-	store *store
-	reg   *metrics.Registry
-
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string
-	keys     map[string]string // idempotency key → job id
-	fifo     []*job
-	nextID   int
-	draining bool
-
-	wake  chan struct{} // buffered(1): work-available signal
-	stopc chan struct{} // closed when draining starts
-	wg    sync.WaitGroup
-
-	gQueue, gInflight, gDraining                *metrics.Gauge
-	cShed, cAdmitted, cDeduped                  *metrics.Counter
-	cDone, cFailed, cCancelled, cResumed, cRuns *metrics.Counter
-	cHTTP                                       *metrics.Counter
-	ewmaMu                                      sync.Mutex
-	jobSecs                                     float64
+	*Plane
 }
 
 // New opens the state directory, replays the job ledger, re-queues every
-// unfinished job (oldest first) and starts the worker pool.
+// unfinished job (oldest first) and starts the executors.
 func New(cfg Config) (*Server, error) {
-	if cfg.StateDir == "" {
-		return nil, fmt.Errorf("server: Config.StateDir is required")
-	}
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = 2
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 16
-	}
-	if cfg.FindGrid == nil {
-		cfg.FindGrid = experiments.FindGrid
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = metrics.NewRegistry()
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	st, replay, err := openStore(cfg.StateDir)
+	s := &Server{}
+	p, err := NewPlane(cfg, Role{Name: "lggd", Exec: s})
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:   cfg,
-		store: st,
-		reg:   cfg.Registry,
-		jobs:  make(map[string]*job),
-		keys:  make(map[string]string),
-		wake:  make(chan struct{}, 1),
-		stopc: make(chan struct{}),
-	}
-	s.gQueue = s.reg.Gauge(MetricQueueDepth, "Jobs waiting in the admission queue.")
-	s.gInflight = s.reg.Gauge(MetricInflight, "Jobs currently executing.")
-	s.gDraining = s.reg.Gauge(MetricDraining, "1 while the daemon drains (admission closed).")
-	s.cShed = s.reg.Counter(MetricShed, "Submissions shed with 429 because the queue was full.")
-	s.cAdmitted = s.reg.Counter(MetricAdmitted, "Jobs admitted to the queue.")
-	s.cDeduped = s.reg.Counter(MetricDeduped, "Submissions answered by an existing job via idempotency key.")
-	s.cDone = s.reg.Counter(MetricJobsDone, "Jobs that completed every run.")
-	s.cFailed = s.reg.Counter(MetricJobsFailed, "Jobs that ended in a terminal error.")
-	s.cCancelled = s.reg.Counter(MetricJobsCancel, "Jobs cancelled by clients.")
-	s.cResumed = s.reg.Counter(MetricJobsResumed, "Unfinished jobs re-queued at startup.")
-	s.cRuns = s.reg.Counter(MetricRunsFinished, "Individual sweep runs finished across all jobs.")
-	s.cHTTP = s.reg.Counter(MetricHTTPRequests, "HTTP requests served.")
-
-	for _, rec := range replay {
-		rec := rec
-		jb := &job{st: rec, doneCh: make(chan struct{})}
-		if n, ok := idNumber(rec.ID); ok && n >= s.nextID {
-			s.nextID = n + 1
-		}
-		if rec.Spec.IdempotencyKey != "" {
-			s.keys[rec.Spec.IdempotencyKey] = rec.ID
-		}
-		s.jobs[rec.ID] = jb
-		s.order = append(s.order, rec.ID)
-		if rec.Status.Terminal() {
-			close(jb.doneCh)
-			continue
-		}
-		// Unfinished (queued or running at the crash/drain): back on the
-		// queue; its sweep journal makes the re-run skip finished work.
-		jb.st.Status = StatusQueued
-		s.fifo = append(s.fifo, jb)
-		s.cResumed.Inc()
-		cfg.Logf("lggd: resuming %s (%s, %d/%d runs done)", rec.ID, rec.Spec.Grid, rec.Done, rec.Total)
-	}
-	s.gQueue.Set(int64(len(s.fifo)))
-
-	s.wg.Add(cfg.Jobs)
-	for w := 0; w < cfg.Jobs; w++ {
-		go s.worker()
-	}
+	s.Plane = p
+	p.Start()
 	return s, nil
 }
 
-// idNumber parses the numeric suffix of "job-%08d".
-func idNumber(id string) (int, bool) {
-	const p = "job-"
-	if len(id) <= len(p) || id[:len(p)] != p {
-		return 0, false
-	}
-	n, err := strconv.Atoi(id[len(p):])
-	return n, err == nil
-}
+// Check accepts every valid spec: a daemon runs whole grids and, for a
+// coordinator, run ranges.
+func (s *Server) Check(JobSpec) error { return nil }
 
-// Admit validates and enqueues a job. It returns the job's state and
-// whether it was newly created (false = deduplicated by idempotency
-// key). Shed and drain conditions return ErrOverloaded / ErrDraining
-// with a Retry-After hint attached.
-func (s *Server) Admit(spec JobSpec, key string) (JobState, bool, error) {
-	spec = spec.WithDefaults()
-	if key != "" {
-		spec.IdempotencyKey = key
-	}
-	if err := spec.Validate(s.cfg.FindGrid); err != nil {
-		return JobState{}, false, err
-	}
-	s.mu.Lock()
-	if s.draining {
-		ra := s.retryAfterLocked()
-		s.mu.Unlock()
-		return JobState{}, false, &Unavailable{Draining: true, RetryAfter: ra}
-	}
-	if spec.IdempotencyKey != "" {
-		if id, ok := s.keys[spec.IdempotencyKey]; ok {
-			jb := s.jobs[id]
-			s.mu.Unlock()
-			s.cDeduped.Inc()
-			return jb.state(), false, nil
-		}
-	}
-	if len(s.fifo) >= s.cfg.QueueDepth {
-		ra := s.retryAfterLocked()
-		s.mu.Unlock()
-		s.cShed.Inc()
-		return JobState{}, false, &Unavailable{RetryAfter: ra}
-	}
-	id := fmt.Sprintf("job-%08d", s.nextID)
-	s.nextID++
-	jb := &job{st: JobState{ID: id, Spec: spec, Status: StatusQueued}, doneCh: make(chan struct{})}
-	if err := s.store.append(jb.st); err != nil {
-		s.nextID-- // nothing was admitted
-		s.mu.Unlock()
-		return JobState{}, false, err
-	}
-	s.jobs[id] = jb
-	s.order = append(s.order, id)
-	if spec.IdempotencyKey != "" {
-		s.keys[spec.IdempotencyKey] = id
-	}
-	s.fifo = append(s.fifo, jb)
-	s.gQueue.Set(int64(len(s.fifo)))
-	s.mu.Unlock()
-	s.cAdmitted.Inc()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-	return jb.state(), true, nil
-}
-
-// Unavailable is the shed/drain/standby admission refusal; RetryAfter
-// is the server's backoff hint in seconds.
-type Unavailable struct {
-	Draining bool
-	// Standby marks a federation coordinator that is mirroring a live
-	// primary: it refuses admission (503 + Retry-After) until a missed
-	// heartbeat window promotes it. A client that keeps retrying against
-	// a standby is therefore admitted the moment failover completes.
-	Standby    bool
-	RetryAfter int
-}
-
-func (u *Unavailable) Error() string {
-	switch {
-	case u.Draining:
-		return "server draining, not admitting jobs"
-	case u.Standby:
-		return "coordinator is a standby; submit to the primary (or retry after failover)"
-	default:
-		return "admission queue full, job shed"
-	}
-}
-
-// retryAfterLocked derives the Retry-After hint from the queue depth and
-// the measured mean job duration: the expected time until a queue slot
-// frees for a new arrival. Requires s.mu.
-func (s *Server) retryAfterLocked() int {
-	s.ewmaMu.Lock()
-	mean := s.jobSecs
-	s.ewmaMu.Unlock()
-	if mean <= 0 {
-		mean = 1
-	}
-	secs := int(math.Ceil(mean * float64(len(s.fifo)+1) / float64(s.cfg.Jobs)))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 300 {
-		secs = 300
-	}
-	return secs
-}
-
-// observeJobSeconds feeds the duration EWMA behind Retry-After.
-func (s *Server) observeJobSeconds(secs float64) {
-	s.ewmaMu.Lock()
-	if s.jobSecs == 0 {
-		s.jobSecs = secs
-	} else {
-		s.jobSecs = 0.7*s.jobSecs + 0.3*secs
-	}
-	s.ewmaMu.Unlock()
-}
-
-// Job returns a job's state by id.
-func (s *Server) Job(id string) (JobState, bool) {
-	s.mu.Lock()
-	jb, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return JobState{}, false
-	}
-	return jb.state(), true
-}
-
-// Jobs lists every known job in submission order.
-func (s *Server) Jobs() []JobState {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	m := s.jobs
-	s.mu.Unlock()
-	out := make([]JobState, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, m[id].state())
-	}
-	return out
-}
-
-// Cancel requests cancellation of a job. Terminal jobs are left alone
-// (the current state is returned); queued jobs become cancelled
-// immediately; running jobs are cancelled mid-sweep, their journal
-// keeping the finished prefix.
-func (s *Server) Cancel(id string) (JobState, bool) {
-	s.mu.Lock()
-	jb, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return JobState{}, false
-	}
-	jb.mu.Lock()
-	switch {
-	case jb.st.Status.Terminal():
-		jb.mu.Unlock()
-	case jb.st.Status == StatusQueued:
-		jb.cancelRequested = true
-		jb.st.Status = StatusCancelled
-		jb.st.Error = errClientCancel.Error()
-		st := jb.st
-		close(jb.doneCh)
-		jb.mu.Unlock()
-		s.cCancelled.Inc()
-		s.persistState(st)
-	default: // running
-		jb.cancelRequested = true
-		cancel := jb.cancel
-		jb.mu.Unlock()
-		if cancel != nil {
-			cancel(errClientCancel)
-		}
-	}
-	return jb.state(), true
-}
-
-// persistState appends a snapshot to the ledger, logging (not
-// propagating) failures — an unwritable ledger must not wedge the
-// daemon's control plane.
-func (s *Server) persistState(st JobState) {
-	if err := s.store.append(st); err != nil {
-		s.cfg.Logf("lggd: ledger append for %s: %v", st.ID, err)
-	}
-}
-
-// worker pops queued jobs and executes them until drain.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		jb := s.pop()
-		if jb == nil {
-			return
-		}
-		s.execute(jb)
-	}
-}
-
-// pop blocks until a job is available or the server drains. Draining
-// stops dispatch even with a non-empty queue: queued jobs stay persisted
-// and resume on the next start.
-func (s *Server) pop() *job {
-	for {
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return nil
-		}
-		if len(s.fifo) > 0 {
-			jb := s.fifo[0]
-			s.fifo = s.fifo[1:]
-			s.gQueue.Set(int64(len(s.fifo)))
-			s.mu.Unlock()
-			return jb
-		}
-		s.mu.Unlock()
-		select {
-		case <-s.wake:
-		case <-s.stopc:
-			return nil
-		}
-	}
-}
-
-// execute runs one job to a terminal state (or to a drain checkpoint).
-func (s *Server) execute(jb *job) {
-	jb.mu.Lock()
-	if jb.st.Status.Terminal() { // cancelled while queued
-		jb.mu.Unlock()
-		return
-	}
-	ctx, cancel := context.WithCancelCause(context.Background())
-	jb.cancel = cancel
-	jb.st.Status = StatusRunning
-	jb.st.Done, jb.st.Recovered, jb.st.Degraded, jb.st.Indeterminate = 0, 0, 0, 0
-	spec := jb.st.Spec
-	id := jb.st.ID
-	st := jb.st
-	jb.mu.Unlock()
-	defer cancel(nil)
-	s.persistState(st)
-	s.gInflight.Add(1)
-	defer s.gInflight.Add(-1)
-	start := time.Now()
-
+// Execute runs one job on this machine: its grid (or run range) through
+// sweep.Runner into the job's journal, resuming after whatever prefix
+// the journal already holds, under the job's timeout_ms deadline.
+func (s *Server) Execute(ctx context.Context, jb *Job) error {
+	st := jb.State()
+	spec := st.Spec
 	g, err := s.cfg.FindGrid(spec.Grid)
 	if err != nil {
-		s.finish(jb, StatusFailed, err.Error())
-		return
+		return err
 	}
 	runs := g.Jobs(spec.Config())
 	if spec.Faults != "" {
 		if err := experiments.ApplyFaults(runs, spec.Faults); err != nil {
-			s.finish(jb, StatusFailed, err.Error())
-			return
+			return err
 		}
 	}
 	if spec.RunCount > 0 {
@@ -481,156 +130,35 @@ func (s *Server) execute(jb *job) {
 		// index window. Desc.Index stays global, so the results are the
 		// exact lines an unsharded sweep would emit for these indices.
 		if spec.RunStart+spec.RunCount > len(runs) {
-			s.finish(jb, StatusFailed, fmt.Sprintf(
-				"run range %d+%d exceeds the grid's %d runs", spec.RunStart, spec.RunCount, len(runs)))
-			return
+			return fmt.Errorf("run range %d+%d exceeds the grid's %d runs", spec.RunStart, spec.RunCount, len(runs))
 		}
 		runs = runs[spec.RunStart : spec.RunStart+spec.RunCount]
 	}
-	journal, prefix, err := sweep.OpenJournalResume(s.store.journalPath(id), len(runs))
+	journal, prefix, err := sweep.OpenJournalResume(s.JournalPath(st.ID), len(runs))
 	if err != nil {
-		s.finish(jb, StatusFailed, err.Error())
-		return
+		return err
 	}
-	jb.mu.Lock()
-	jb.st.Total = len(runs)
-	jb.mu.Unlock()
+	jb.SetTotal(len(runs))
 
-	runCtx := ctx
 	if spec.TimeoutMS > 0 {
-		var cancelT context.CancelFunc
-		runCtx, cancelT = context.WithTimeout(ctx, time.Duration(spec.TimeoutMS)*time.Millisecond)
-		defer cancelT()
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutMS)*time.Millisecond)
+		defer cancel()
 	}
 	runner := &sweep.Runner{
 		Workers: s.cfg.SweepWorkers,
 		Retries: s.cfg.Retries,
 		Journal: journal,
 		Resume:  prefix,
-		OnResult: func(_ sweep.Job, res sweep.Result, _ *sim.Result) {
-			jb.mu.Lock()
-			jb.st.Done++
-			switch res.Recovery {
-			case "Recovered":
-				jb.st.Recovered++
-			case "Degraded":
-				jb.st.Degraded++
-			case "Indeterminate":
-				jb.st.Indeterminate++
-			}
-			jb.mu.Unlock()
-			s.cRuns.Inc()
-		},
+		// The runner replays the resumed prefix through OnResult too.
+		OnResult: func(_ sweep.Job, res sweep.Result, _ *sim.Result) { jb.Record(res) },
 	}
-	_, runErr := runner.RunWithContext(runCtx, runs)
-	if cerr := journal.Close(); cerr != nil && runErr == nil {
-		runErr = fmt.Errorf("journal close: %w", cerr)
+	_, err = runner.RunWithContext(ctx, runs)
+	if cerr := journal.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("journal close: %w", cerr)
 	}
-	s.observeJobSeconds(time.Since(start).Seconds())
-
-	switch {
-	case runErr == nil:
-		s.finish(jb, StatusDone, "")
-	case errors.Is(runErr, context.Canceled):
-		if errors.Is(context.Cause(ctx), errDrain) {
-			// Drain checkpoint: journal holds the finished prefix; the
-			// job goes back to queued so the next start resumes it.
-			jb.mu.Lock()
-			jb.st.Status = StatusQueued
-			st := jb.st
-			jb.mu.Unlock()
-			s.persistState(st)
-			s.cfg.Logf("lggd: %s checkpointed at %d/%d runs for drain", id, st.Done, st.Total)
-			return
-		}
-		s.finish(jb, StatusCancelled, errClientCancel.Error())
-	case errors.Is(runErr, sweep.ErrTimeout) || errors.Is(runErr, context.DeadlineExceeded):
-		s.finish(jb, StatusFailed, fmt.Sprintf("deadline exceeded after %dms", spec.TimeoutMS))
-	default:
-		s.finish(jb, StatusFailed, runErr.Error())
+	if errors.Is(err, sweep.ErrTimeout) || errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("deadline exceeded after %dms", spec.TimeoutMS)
 	}
-}
-
-// finish moves a job to a terminal state, persists it and wakes waiters.
-func (s *Server) finish(jb *job, status JobStatus, errMsg string) {
-	jb.mu.Lock()
-	if jb.st.Status.Terminal() {
-		jb.mu.Unlock()
-		return
-	}
-	jb.st.Status = status
-	jb.st.Error = errMsg
-	st := jb.st
-	close(jb.doneCh)
-	jb.mu.Unlock()
-	switch status {
-	case StatusDone:
-		s.cDone.Inc()
-	case StatusFailed:
-		s.cFailed.Inc()
-	case StatusCancelled:
-		s.cCancelled.Inc()
-	}
-	s.persistState(st)
-	s.cfg.Logf("lggd: %s → %s (%d/%d runs)", st.ID, status, st.Done, st.Total)
-}
-
-// JournalPath reports where a job's sweep journal lives on disk (the
-// federation byte-identity tests compare these files directly).
-func (s *Server) JournalPath(id string) string {
-	return s.store.journalPath(id)
-}
-
-// Draining reports whether admission is closed.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// Drain gracefully stops the server: admission closes immediately
-// (readyz → 503, submissions refused), queued jobs stay durably queued,
-// and in-flight jobs get until ctx's deadline to finish. Jobs still
-// running when the grace expires are cancelled mid-sweep — their
-// journals keep every finished run — and left queued for the next
-// start. Drain returns once every worker has flushed and the ledger is
-// closed; it is safe to call once.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return fmt.Errorf("server: already draining")
-	}
-	s.draining = true
-	s.mu.Unlock()
-	s.gDraining.Set(1)
-	close(s.stopc)
-
-	workersDone := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(workersDone)
-	}()
-	select {
-	case <-workersDone:
-	case <-ctx.Done():
-		// Grace expired: checkpoint in-flight jobs.
-		s.mu.Lock()
-		running := make([]*job, 0, len(s.order))
-		for _, id := range s.order {
-			running = append(running, s.jobs[id])
-		}
-		s.mu.Unlock()
-		for _, jb := range running {
-			jb.mu.Lock()
-			cancel := jb.cancel
-			active := jb.st.Status == StatusRunning
-			jb.mu.Unlock()
-			if active && cancel != nil {
-				cancel(errDrain)
-			}
-		}
-		<-workersDone
-	}
-	return s.store.close()
+	return err
 }

@@ -6,13 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 )
 
-// The store is the daemon's durable job ledger: one append-only JSONL
+// The store is the job plane's durable ledger: one append-only JSONL
 // file (jobs.jsonl) holding a full JobState snapshot per transition, plus
 // one PR-4 sweep journal per job under results/. The ledger follows the
 // sweep journal's crash discipline — whole-line appends, fsync per
@@ -33,10 +32,9 @@ type storeHeader struct {
 type store struct {
 	dir string
 	// lastDispatched is the tenant of the most recent queued→running
-	// transition found while replaying the ledger. The federation
-	// coordinator uses it to re-seat its round-robin fair-share cursor
-	// after a restart, so the tenant that was served last does not get
-	// served first again.
+	// transition found while replaying the ledger. The plane uses it to
+	// re-seat its round-robin fair-share cursor after a restart, so the
+	// tenant that was served last does not get served first again.
 	lastDispatched string
 
 	mu  sync.Mutex
@@ -137,54 +135,6 @@ func (s *store) append(js JobState) error {
 func (s *store) journalPath(id string) string {
 	return filepath.Join(s.dir, "results", id+".jsonl")
 }
-
-// removeJournal deletes a job's sweep journal (used when a cancelled
-// queued job never produced one — ignore absence).
-func (s *store) removeJournal(id string) {
-	err := os.Remove(s.journalPath(id))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		// Best-effort cleanup; the journal is harmless if left behind.
-		_ = err
-	}
-}
-
-// Ledger is the exported face of the store for the federation
-// coordinator, which persists its own jobs with the same crash
-// discipline (and the same JobState records) as a single daemon but
-// lives in a separate package. The coordinator's state directory is
-// therefore readable by the same tooling as a daemon's.
-type Ledger struct {
-	s *store
-}
-
-// OpenLedger opens (or initialises) dir as a job ledger and replays it;
-// jobs come back in first-submission order.
-func OpenLedger(dir string) (*Ledger, []JobState, error) {
-	s, jobs, err := openStore(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Ledger{s: s}, jobs, nil
-}
-
-// Append durably records a job snapshot (whole-line write + fsync).
-func (l *Ledger) Append(js JobState) error { return l.s.append(js) }
-
-// JournalPath is where the job's (merged) sweep journal lives.
-func (l *Ledger) JournalPath(id string) string { return l.s.journalPath(id) }
-
-// RemoveJournal deletes a job's sweep journal, ignoring absence.
-func (l *Ledger) RemoveJournal(id string) { l.s.removeJournal(id) }
-
-// LastDispatchedTenant reports the tenant of the most recent
-// queued→running transition in the replayed ledger (empty if none).
-// The federation coordinator re-seats its round-robin fair-share cursor
-// just past this tenant on restart, preserving dispatch fairness across
-// a crash or failover.
-func (l *Ledger) LastDispatchedTenant() string { return l.s.lastDispatched }
-
-// Close flushes and closes the ledger.
-func (l *Ledger) Close() error { return l.s.close() }
 
 // close closes the ledger.
 func (s *store) close() error {
