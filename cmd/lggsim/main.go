@@ -9,6 +9,7 @@
 //	lggsim -topo grid -rows 4 -cols 6 -in 1 -out 3 -router shortest -load 0.9
 //	lggsim -topo random -n 20 -m 40 -loss 0.1 -series series.csv
 //	lggsim -topo line -n 8 -metrics - -events steps.jsonl -eventstride 100
+//	lggsim -topo line -n 1000000 -horizon 1000
 //	lggsim -topo theta -faults 'burst@500-1500:pg=0.05,pb=0.7,gb=0.1,bg=0.3'
 //	lggsim -topo grid -faults @schedule.json
 package main
@@ -63,8 +64,6 @@ func main() {
 		metricsPath = flag.String("metrics", "", "write Prometheus text metrics after the run (- = stdout)")
 		eventsPath  = flag.String("events", "", "stream per-step JSONL events to this file (- = stdout)")
 		eventStride = flag.Int64("eventstride", 1, "emit only every Nth step event")
-		shards      = flag.Int("shards", 0, "run the step loop over this many partition shards (0/1 = serial; output is byte-identical either way)")
-		shardWk     = flag.Int("shard-workers", 0, "intra-step worker goroutines when sharded (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -158,14 +157,7 @@ func main() {
 		e.AddObserver(ew)
 	}
 
-	if *shards > 1 {
-		if _, ok := rt.(core.ShardableRouter); !ok {
-			fmt.Fprintf(os.Stderr, "lggsim: router %s is not shardable; running serial (results are identical)\n", rt.Name())
-		} else {
-			fmt.Printf("sharding:    %d shards, %d workers\n", *shards, *shardWk)
-		}
-	}
-	res := sim.Run(e, sim.Options{Horizon: *horizon, Shards: *shards, ShardWorkers: *shardWk})
+	res := sim.Run(e, sim.Options{Horizon: *horizon})
 	if ew != nil {
 		if err := ew.Flush(); err != nil {
 			fatal(err)

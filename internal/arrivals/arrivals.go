@@ -32,10 +32,8 @@ func (a *Thinned) Name() string { return fmt.Sprintf("thinned(p=%g)", a.P) }
 
 // Injections implements core.ArrivalProcess.
 func (a *Thinned) Injections(_ int64, spec *core.Spec, inj []int64) {
-	for v, in := range spec.In {
-		if in > 0 {
-			inj[v] = a.R.Binomial(in, a.P)
-		}
+	for _, v := range spec.Sources() {
+		inj[v] = a.R.Binomial(spec.In[v], a.P)
 	}
 }
 
@@ -58,11 +56,8 @@ func (a *Uniform) Name() string { return "uniform" }
 
 // Injections implements core.ArrivalProcess.
 func (a *Uniform) Injections(_ int64, spec *core.Spec, inj []int64) {
-	for v, in := range spec.In {
-		if in <= 0 {
-			continue
-		}
-		hi := 2 * in
+	for _, v := range spec.Sources() {
+		hi := 2 * spec.In[v]
 		if a.Hi != nil {
 			hi = a.Hi[v]
 		}
@@ -109,10 +104,8 @@ func (a *Bursty) Injections(t int64, spec *core.Spec, inj []int64) {
 	if t%a.Period < a.BurstLen {
 		factor = a.BurstFactor
 	}
-	for v, in := range spec.In {
-		if in > 0 {
-			inj[v] = in * factor
-		}
+	for _, v := range spec.Sources() {
+		inj[v] = spec.In[v] * factor
 	}
 }
 
@@ -150,7 +143,7 @@ type OnOff struct {
 	POffToOn float64
 	R        *rng.Source
 
-	on []bool
+	on []bool // per source, in spec.Sources() order
 }
 
 // Name implements core.ArrivalProcess.
@@ -160,25 +153,23 @@ func (a *OnOff) Name() string {
 
 // Injections implements core.ArrivalProcess.
 func (a *OnOff) Injections(_ int64, spec *core.Spec, inj []int64) {
+	srcs := spec.Sources()
 	if a.on == nil {
-		a.on = make([]bool, len(spec.In))
-		for v := range a.on {
-			a.on[v] = true // start ON
+		a.on = make([]bool, len(srcs))
+		for i := range a.on {
+			a.on[i] = true // start ON
 		}
 	}
-	for v, in := range spec.In {
-		if in <= 0 {
-			continue
-		}
-		if a.on[v] {
+	for i, v := range srcs {
+		if a.on[i] {
 			if a.R.Bool(a.POnToOff) {
-				a.on[v] = false
+				a.on[i] = false
 			}
 		} else if a.R.Bool(a.POffToOn) {
-			a.on[v] = true
+			a.on[i] = true
 		}
-		if a.on[v] {
-			inj[v] = in
+		if a.on[i] {
+			inj[v] = spec.In[v]
 		}
 	}
 }
@@ -204,7 +195,9 @@ func (a *Scaled) Name() string {
 	return fmt.Sprintf("%s×%d/%d", a.Inner.Name(), a.Num, a.Den)
 }
 
-// Injections implements core.ArrivalProcess.
+// Injections implements core.ArrivalProcess. Over a source-only inner
+// process it visits only the sources: elsewhere the inner injection and
+// the accumulator both stay zero.
 func (a *Scaled) Injections(t int64, spec *core.Spec, inj []int64) {
 	if a.Den <= 0 || a.Num < 0 {
 		panic("arrivals: inconsistent Scaled parameters")
@@ -213,15 +206,30 @@ func (a *Scaled) Injections(t int64, spec *core.Spec, inj []int64) {
 		a.tmp = make([]int64, len(inj))
 		a.acc = make([]int64, len(inj))
 	}
-	for i := range a.tmp {
-		a.tmp[i] = 0
+	if !a.SourcesOnly() {
+		clear(a.tmp)
+		a.Inner.Injections(t, spec, a.tmp)
+		for v := range a.tmp {
+			a.scale(v, inj)
+		}
+		return
+	}
+	srcs := spec.Sources()
+	for _, v := range srcs {
+		a.tmp[v] = 0
 	}
 	a.Inner.Injections(t, spec, a.tmp)
-	for v, x := range a.tmp {
-		a.acc[v] += x * a.Num
-		inj[v] = a.acc[v] / a.Den
-		a.acc[v] -= inj[v] * a.Den
+	for _, v := range srcs {
+		a.scale(int(v), inj)
 	}
+}
+
+// scale turns the inner injection at v into the scaled one, carrying the
+// rounding error in acc[v].
+func (a *Scaled) scale(v int, inj []int64) {
+	a.acc[v] += a.tmp[v] * a.Num
+	inj[v] = a.acc[v] / a.Den
+	a.acc[v] -= inj[v] * a.Den
 }
 
 // SourcesOnly implements core.SourceOnlyArrivals by delegation: scaling

@@ -18,8 +18,14 @@ func (ExactArrivals) Name() string { return "exact" }
 
 // Injections implements ArrivalProcess.
 func (ExactArrivals) Injections(_ int64, spec *Spec, inj []int64) {
-	copy(inj, spec.In)
+	for _, v := range spec.Sources() {
+		inj[v] = spec.In[v]
+	}
 }
+
+// SourcesOnly implements SourceOnlyArrivals: classical sources inject
+// exactly at the spec's source nodes.
+func (ExactArrivals) SourcesOnly() bool { return true }
 
 // NoLoss never loses a packet.
 type NoLoss struct{}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -19,6 +20,18 @@ type ArrivalProcess interface {
 	// inj[v] for every node (the engine pre-zeroes inj). Entries must be
 	// non-negative.
 	Injections(t int64, spec *Spec, inj []int64)
+}
+
+// SourceOnlyArrivals marks arrival processes whose injections land only
+// on nodes with spec.In[v] > 0 (entries elsewhere stay zero). The engine
+// then reads injections at spec.Sources() instead of scanning all n
+// nodes: O(|S|) instead of O(n) per step on a million-node topology with
+// a handful of sources.
+type SourceOnlyArrivals interface {
+	ArrivalProcess
+	// SourcesOnly reports whether the guarantee holds for this instance
+	// (wrappers delegate to their inner process).
+	SourcesOnly() bool
 }
 
 // LossModel decides, per attempted transmission, whether the packet is
@@ -164,9 +177,10 @@ type Engine struct {
 	Interference Interference
 	Topology     TopologyProcess
 
-	// Q is the live queue vector; read it freely between steps. Do not
-	// write entries directly — use SetQueues, which also rebuilds the
-	// engine's active-node bookkeeping.
+	// Q is the live queue vector; read it freely between steps. The
+	// engine does not see direct writes to its entries: its active list,
+	// snapshot and stats only track the queue changes it makes itself.
+	// Use SetQueues to change queues from outside.
 	Q []int64
 	// T is the next step to execute.
 	T int64
@@ -196,18 +210,25 @@ type Engine struct {
 	// compaction; activeSpare is the merge double-buffer. injDirty and
 	// sentDirty record which inj/sentBy entries were made nonzero this
 	// step, so the next step zeroes only those instead of sweeping all n.
+	//
+	// Between two planning points a queue can change only at a node that
+	// held packets at the first (so it is in active) or that received
+	// packets since (so it is in newlyActive). The snapshot refresh and
+	// the stats therefore visit active ∪ newlyActive, not all n nodes.
 	active      []graph.NodeID
 	activeSpare []graph.NodeID
 	newlyActive []graph.NodeID
 	activeMark  []bool
 	injDirty    []graph.NodeID
 	sentDirty   []graph.NodeID
-	// sinks lists the nodes with out(v) > 0 in ascending order, so the
-	// extraction phase does not scan non-destination nodes.
-	sinks []graph.NodeID
-	// sh, when non-nil, switches Step to the partition-parallel path
-	// (see sharded.go). Managed by EnableSharding/DisableSharding.
-	sh *sharding
+	// sinks lists the nodes with out(v) > 0 and retention the nodes with
+	// R(v) > 0, both ascending: extraction visits only sinks, and the
+	// declare pass only retention nodes.
+	sinks     []graph.NodeID
+	retention []graph.NodeID
+	// stale makes the next Step refresh the whole snapshot, because
+	// SetQueues may have changed any queue.
+	stale bool
 }
 
 // EnableTrace switches on per-step tracing and returns the trace buffer,
@@ -250,31 +271,30 @@ func NewEngine(spec *Spec, router Router) *Engine {
 		if spec.Out[v] > 0 {
 			e.sinks = append(e.sinks, graph.NodeID(v))
 		}
+		if spec.R[v] > 0 {
+			e.retention = append(e.retention, graph.NodeID(v))
+		}
 	}
 	return e
 }
 
 // SetQueues overwrites the current queue vector (for experiments that
-// start from a prepared state, e.g. Property 2 probes). It also resets the
-// engine's step-scoped scratch: the edge-use markers (callers that reset T
-// to replay from a prepared state would otherwise race stale T+1 markers
-// from the previous run and count phantom collisions), the sparse
-// injection/sends bookkeeping, and the active-node list, which is rebuilt
-// from the new queue vector.
+// start from a prepared state, e.g. Property 2 probes, and for faults that
+// destroy queued packets). It also resets the engine's step-scoped
+// scratch: the edge-use markers (callers that reset T to replay from a
+// prepared state would otherwise race stale T+1 markers from the previous
+// run and count phantom collisions), the sparse injection/sends
+// bookkeeping, and the active-node list, which is rebuilt from the new
+// queue vector. The next Step refreshes its whole snapshot.
 func (e *Engine) SetQueues(q []int64) {
 	if len(q) != len(e.Q) {
 		panic("core: queue vector length mismatch")
 	}
 	copy(e.Q, q)
-	for i := range e.edgeUsed {
-		e.edgeUsed[i] = 0
-	}
-	for i := range e.inj {
-		e.inj[i] = 0
-	}
-	for i := range e.sentBy {
-		e.sentBy[i] = 0
-	}
+	clear(e.edgeUsed)
+	clear(e.inj)
+	clear(e.sentBy)
+	e.stale = true
 	e.injDirty = e.injDirty[:0]
 	e.sentDirty = e.sentDirty[:0]
 	e.newlyActive = e.newlyActive[:0]
@@ -285,9 +305,6 @@ func (e *Engine) SetQueues(q []int64) {
 		if pos {
 			e.active = append(e.active, graph.NodeID(v))
 		}
-	}
-	if e.sh != nil {
-		e.sh.reset(e)
 	}
 }
 
@@ -301,9 +318,11 @@ func (e *Engine) markActive(v graph.NodeID) {
 
 // compactActive folds newlyActive into the sorted active list and drops
 // nodes whose queue has drained, preserving the invariant that active is
-// strictly ascending and contains every node with Q > 0. Amortized cost
-// is O(|active| + |new|·log|new|) per step with no allocations in steady
-// state.
+// strictly ascending and contains every node with Q > 0. It also
+// refreshes snapQ and the truthful declared value of every node it
+// visits: those are the only nodes whose queue can have changed since
+// the last snapshot. Amortized cost is O(|active| + |new|·log|new|) per
+// step with no allocations in steady state.
 func (e *Engine) compactActive() {
 	if len(e.newlyActive) > 1 {
 		slices.Sort(e.newlyActive)
@@ -322,7 +341,9 @@ func (e *Engine) compactActive() {
 			v = b[j]
 			j++
 		}
-		if e.Q[v] > 0 {
+		q := e.Q[v]
+		e.snapQ[v], e.declared[v] = q, q
+		if q > 0 {
 			dst = append(dst, v)
 		} else {
 			e.activeMark[v] = false
@@ -337,14 +358,25 @@ func (e *Engine) compactActive() {
 // Valid only after at least one Step; the backing arrays are reused.
 func (e *Engine) Snapshot() *Snapshot { return &e.lastSnap }
 
-// Step executes one synchronous time step and returns its statistics.
-func (e *Engine) Step() StepStats {
-	if e.sh != nil {
-		return e.stepSharded()
+// inject applies this step's injection at v and returns its size.
+func (e *Engine) inject(v graph.NodeID) int64 {
+	x := e.inj[v]
+	if x < 0 {
+		panic(fmt.Sprintf("core: arrival process injected %d < 0 at node %d", x, v))
 	}
+	e.Q[v] += x
+	e.injDirty = append(e.injDirty, v)
+	e.markActive(v)
+	return x
+}
+
+// Step executes one synchronous time step and returns its statistics.
+// Apart from the O(m) edge-alive pass of a dynamic topology, its work is
+// proportional to the nodes holding packets, the sources, the sinks and
+// the retention nodes, not to n.
+func (e *Engine) Step() StepStats {
 	spec := e.Spec
 	g := spec.G
-	n := spec.N()
 	st := StepStats{T: e.T}
 
 	// Phase 1: injection. inj is zero except for last step's entries.
@@ -353,27 +385,34 @@ func (e *Engine) Step() StepStats {
 	}
 	e.injDirty = e.injDirty[:0]
 	e.Arrivals.Injections(e.T, spec, e.inj)
-	for v := 0; v < n; v++ {
-		x := e.inj[v]
-		if x == 0 {
-			continue
+	if so, ok := e.Arrivals.(SourceOnlyArrivals); ok && so.SourcesOnly() {
+		for _, v := range spec.Sources() {
+			if e.inj[v] != 0 {
+				st.Injected += e.inject(v)
+			}
 		}
-		if x < 0 {
-			panic(fmt.Sprintf("core: arrival process injected %d < 0 at node %d", x, v))
+	} else {
+		for v, x := range e.inj {
+			if x != 0 {
+				st.Injected += e.inject(graph.NodeID(v))
+			}
 		}
-		e.Q[v] += x
-		st.Injected += x
-		e.injDirty = append(e.injDirty, graph.NodeID(v))
-		e.markActive(graph.NodeID(v))
 	}
 
-	// Phase 2: snapshot and declared queues.
+	// Phase 2: snapshot and declared queues. Compaction refreshes the
+	// queue and truthful declaration of every node whose queue can have
+	// changed. The retention pass then runs Declare over the R > 0 nodes
+	// at or below R in ascending order, as a dense scan would; a lying
+	// node re-declares every step, even at q = 0.
+	if e.stale {
+		copy(e.snapQ, e.Q)
+		copy(e.declared, e.Q)
+		e.stale = false
+	}
 	e.compactActive()
-	copy(e.snapQ, e.Q)
-	for v := 0; v < n; v++ {
-		q, r := e.snapQ[v], spec.R[v]
-		if r > 0 && q <= r {
-			d := e.Declare.Declare(e.T, graph.NodeID(v), q, r)
+	for _, v := range e.retention {
+		if q, r := e.snapQ[v], spec.R[v]; q <= r {
+			d := e.Declare.Declare(e.T, v, q, r)
 			if d < 0 {
 				d = 0
 			}
@@ -381,8 +420,6 @@ func (e *Engine) Step() StepStats {
 				d = r
 			}
 			e.declared[v] = d
-		} else {
-			e.declared[v] = q
 		}
 	}
 	var alive []bool
@@ -448,7 +485,8 @@ func (e *Engine) Step() StepStats {
 		}
 	}
 
-	// Phase 4: transmit.
+	// Phase 4: transmit. A node that receives joins newlyActive, so the
+	// next snapshot refresh and this step's stats visit it.
 	for _, s := range e.sends {
 		to := s.To(g)
 		e.Q[s.From]--
@@ -490,9 +528,7 @@ func (e *Engine) Step() StepStats {
 	}
 
 	e.T++
-	st.Potential, st.Overflowed = PotentialSat(e.Q)
-	st.Queued = TotalQueued(e.Q)
-	st.MaxQueue = MaxQueue(e.Q)
+	e.queueStats(&st)
 	if len(e.observers) > 0 {
 		e.obsStats = st
 		for _, o := range e.observers {
@@ -501,6 +537,29 @@ func (e *Engine) Step() StepStats {
 		st = e.obsStats
 	}
 	return st
+}
+
+// queueStats fills the potential, backlog and largest queue of st from
+// active ∪ newlyActive, which holds every node with Q > 0. The terms are
+// non-negative, so summing them in this order saturates exactly when
+// PotentialSat over the whole vector does.
+func (e *Engine) queueStats(st *StepStats) {
+	var pot, total, maxq int64
+	ok := true
+	for _, list := range [2][]graph.NodeID{e.active, e.newlyActive} {
+		for _, v := range list {
+			x := e.Q[v]
+			total += x
+			maxq = max(maxq, x)
+			if ok {
+				pot, ok = addSquare(pot, x)
+			}
+		}
+	}
+	if !ok {
+		pot = math.MaxInt64
+	}
+	st.Potential, st.Overflowed, st.Queued, st.MaxQueue = pot, !ok, total, maxq
 }
 
 // Run executes steps time steps, folding stats into a Totals.

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/flow"
 	"repro/internal/graph"
@@ -26,6 +27,11 @@ type Spec struct {
 	In  []int64
 	Out []int64
 	R   []int64
+
+	// sources caches Sources(). It is filled on first use, which may
+	// happen on several goroutines at once when concurrent engines share
+	// the spec, and cleared by SetSource.
+	sources atomic.Pointer[[]graph.NodeID]
 }
 
 // NewSpec returns a Spec over g with all-zero roles; use the setters to
@@ -47,6 +53,7 @@ func (s *Spec) SetSource(v graph.NodeID, in int64) *Spec {
 		panic("core: source capacity must be positive")
 	}
 	s.In[v] = in
+	s.sources.Store(nil)
 	return s
 }
 
@@ -104,8 +111,18 @@ func (s *Spec) N() int { return s.G.NumNodes() }
 // Delta returns the maximum degree Δ of G.
 func (s *Spec) Delta() int { return s.G.MaxDegree() }
 
-// Sources returns the nodes with In > 0 in ascending order.
-func (s *Spec) Sources() []graph.NodeID { return s.positive(s.In) }
+// Sources returns the nodes with In > 0 in ascending order. The slice is
+// computed once and shared: callers must not modify it. Change In only
+// through SetSource once the spec is in use, or the cached list goes
+// stale.
+func (s *Spec) Sources() []graph.NodeID {
+	if p := s.sources.Load(); p != nil {
+		return *p
+	}
+	src := s.positive(s.In)
+	s.sources.Store(&src)
+	return src
+}
 
 // Sinks returns the nodes with Out > 0 in ascending order.
 func (s *Spec) Sinks() []graph.NodeID { return s.positive(s.Out) }
@@ -203,19 +220,24 @@ const maxExactSquare = 3037000499
 // stays "large" instead of wrapping negative and faking a drain).
 func PotentialSat(q []int64) (p int64, overflowed bool) {
 	for _, x := range q {
-		if x < 0 {
-			x = -x
-		}
-		if x > maxExactSquare {
+		var ok bool
+		if p, ok = addSquare(p, x); !ok {
 			return math.MaxInt64, true
 		}
-		sq := x * x
-		if p > math.MaxInt64-sq {
-			return math.MaxInt64, true
-		}
-		p += sq
 	}
 	return p, false
+}
+
+// addSquare returns p + x² for p ≥ 0, or ok = false when the sum leaves
+// the int64 range.
+func addSquare(p, x int64) (sum int64, ok bool) {
+	if x < 0 {
+		x = -x
+	}
+	if x > maxExactSquare || p > math.MaxInt64-x*x {
+		return 0, false
+	}
+	return p + x*x, true
 }
 
 // TotalQueued returns Σ_v q(v), the number of stored packets.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/flow"
@@ -140,5 +142,31 @@ func TestSnapshotEdgeAlive(t *testing.T) {
 	sn.Alive = []bool{false, true}
 	if sn.EdgeAlive(0) || !sn.EdgeAlive(1) {
 		t.Fatal("alive mask ignored")
+	}
+}
+
+// TestSourcesCacheSharedAcrossEngines: engines running concurrently on
+// one spec fill and read its cached source list at once (run under
+// -race), and SetSource invalidates the cache.
+func TestSourcesCacheSharedAcrossEngines(t *testing.T) {
+	spec := NewSpec(graph.Line(64)).SetSource(0, 1).SetSource(5, 2).SetSink(40, 3)
+	var wg sync.WaitGroup
+	totals := make([]Totals, 8)
+	for i := range totals {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			totals[i] = NewEngine(spec, NewLGG()).Run(200)
+		}()
+	}
+	wg.Wait()
+	for i, tot := range totals {
+		if tot != totals[0] || tot.Injected != 3*200 {
+			t.Fatalf("engine %d: totals %+v, engine 0: %+v", i, tot, totals[0])
+		}
+	}
+	spec.SetSource(9, 1)
+	if got := spec.Sources(); !slices.Equal(got, []graph.NodeID{0, 5, 9}) {
+		t.Fatalf("Sources after SetSource = %v, want [0 5 9]", got)
 	}
 }

@@ -73,6 +73,7 @@ func runP3(cfg Config) *Table {
 		Title:   "distributed engine vs central simulation",
 		Claim:   "identical dynamics; barrier-synchronized goroutines cost ~100× per round",
 		Columns: []string{"network", "engine", "rounds", "wall", "rounds/s", "final-backlog"},
+		Clock:   []string{"wall", "rounds/s"},
 	}
 	ws := []workload{
 		{"theta(4,3)", thetaSpec(4, 3, 2, 4)},

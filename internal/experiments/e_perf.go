@@ -158,6 +158,7 @@ func runP1(cfg Config) *Table {
 		Title:   "simulator scaling",
 		Claim:   "step cost grows near-linearly in network size",
 		Columns: []string{"network", "n", "m", "steps", "wall", "steps/s", "node-steps/s"},
+		Clock:   []string{"wall", "steps/s", "node-steps/s"},
 	}
 	sizes := [][2]int{{5, 5}, {10, 10}, {20, 20}}
 	if cfg.Quick {
@@ -187,6 +188,7 @@ func runP2(cfg Config) *Table {
 		Title:   "max-flow solver throughput",
 		Claim:   "push-relabel and Dinic dominate Edmonds–Karp as instances grow",
 		Columns: []string{"instance", "solver", "flow", "solves", "wall", "solves/s"},
+		Clock:   []string{"wall", "solves/s"},
 	}
 	r := rng.New(cfg.Seed).Split(99)
 	sizes := []struct {

@@ -70,8 +70,11 @@ type Table struct {
 	Title   string
 	Claim   string // what the paper asserts (or conjectures)
 	Columns []string
-	Rows    [][]string
-	Notes   []string
+	// Clock names the columns that hold wall-clock measurements. Their
+	// cells change from run to run, so golden comparisons mask them.
+	Clock []string
+	Rows  [][]string
+	Notes []string
 }
 
 // AddRow appends a row; cell counts must match Columns.

@@ -43,8 +43,6 @@ func SweepGrids() []NamedGrid {
 			Jobs: RouterDuelGrid, Space: RouterDuelSpace},
 		{Name: "faults", Desc: "fault injection: unsaturated suite × fault regimes, with recovery verdicts",
 			Jobs: FaultsGrid, Space: FaultsSpace},
-		{Name: "shard", Desc: "shard-determinism stress: LGG × stochastic losses/arrivals/lying on localized topologies",
-			Jobs: ShardGrid, Space: ShardSpace},
 		{Name: "frontier", Desc: "critical-load frontier: unsaturated suite × a dense rho axis around f* (built for -adaptive)",
 			Jobs: FrontierGrid, Space: FrontierSpace},
 	}
