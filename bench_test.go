@@ -6,6 +6,7 @@ package repro
 // regeneration driver for timing data in EXPERIMENTS.md.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -23,7 +24,6 @@ import (
 	"repro/internal/loss"
 	"repro/internal/lyapunov"
 	"repro/internal/packetsim"
-	"repro/internal/region"
 	"repro/internal/rng"
 	"repro/internal/sweep"
 )
@@ -391,18 +391,31 @@ func BenchmarkP3Distributed(b *testing.B) {
 	}
 }
 
-// BenchmarkE23Critical measures one full bisection for LGG's frontier.
+// BenchmarkE23Critical measures one full frontier search for LGG's
+// critical load, as E23 runs it: sweep.RunFrontier over rho ∈ [0, 2]
+// (×f*) at resolution 1/8, stable only when both seeds are.
 func BenchmarkE23Critical(b *testing.B) {
 	spec := core.NewSpec(graph.ThetaGraph(3, 2)).SetSource(0, 3).SetSink(1, 3)
+	fstar, rate := spec.Analyze(flow.NewPushRelabel()).FStar, spec.ArrivalRate()
+	const resolution = 8
+	s := &sweep.Space{
+		Name:    "E23",
+		Horizon: 600,
+		Axes:    []sweep.Axis{{Name: "rho", Min: 0, Max: 2}},
+		SeedFn:  func(_ sweep.Point, rep int) uint64 { return 1 + uint64(rep) },
+		Build: func(p sweep.Probe) *core.Engine {
+			rho, _ := p.Point.Value("rho")
+			e := core.NewEngine(spec, core.NewLGG())
+			e.Arrivals = &arrivals.Scaled{Inner: core.ExactArrivals{},
+				Num: fstar * int64(rho*resolution), Den: rate * resolution}
+			return e
+		},
+	}
+	cfg := sweep.FrontierConfig{Axis: "rho", Tol: 1.0 / resolution, Threshold: 1, MinSeeds: 2, MaxSeeds: 2}
 	for i := 0; i < b.N; i++ {
-		p := &region.Prober{
-			Spec:       spec,
-			Router:     func(uint64) core.Router { return core.NewLGG() },
-			Seeds:      []uint64{1, 2},
-			Horizon:    600,
-			Resolution: 8,
+		if _, err := sweep.RunFrontier(context.Background(), s, cfg, nil); err != nil {
+			b.Fatal(err)
 		}
-		p.Critical()
 	}
 }
 

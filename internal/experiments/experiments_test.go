@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -251,7 +252,9 @@ func TestAdaptiveMatchesExhaustive(t *testing.T) {
 	}
 
 	const tol = 0.025
-	rep, err := sweep.RunFrontier(t.Context(), FrontierSpace(cfg),
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	rep, err := sweep.RunFrontier(ctx, FrontierSpace(cfg),
 		sweep.FrontierConfig{Axis: "rho", Tol: tol, MinSeeds: cfg.Seeds, MaxSeeds: cfg.Seeds},
 		&sweep.Runner{Workers: 4})
 	if err != nil {

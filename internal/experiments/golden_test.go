@@ -226,9 +226,10 @@ func digest(t *testing.T, rs []sweep.Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestGridDigests runs each named grid at 1 and 8 workers and once
-// resumed from a journal cut mid-line; every path must reproduce the
-// committed digest.
+// TestGridDigests runs each named grid at 1 and 8 workers and resumed
+// from its journal cut mid-line and after each whole line (the header
+// alone through every result); every path must reproduce the committed
+// digest.
 func TestGridDigests(t *testing.T) {
 	cfg := QuickConfig()
 	for _, c := range gridDigests {
@@ -252,8 +253,8 @@ func TestGridDigests(t *testing.T) {
 			}
 
 			jobs := g.Jobs(cfg)
-			path := filepath.Join(t.TempDir(), "journal.jsonl")
-			j, err := sweep.CreateJournal(path, len(jobs))
+			journal := filepath.Join(t.TempDir(), "journal.jsonl")
+			j, err := sweep.CreateJournal(journal, len(jobs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,29 +264,38 @@ func TestGridDigests(t *testing.T) {
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
-			raw, err := os.ReadFile(path)
+			raw, err := os.ReadFile(journal)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lines := bytes.SplitAfter(raw, []byte("\n"))
-			keep := 1 + len(jobs)/2 // the header and half the results
+			// resume rewrites the journal as cut, reopens it and finishes
+			// the sweep at 8 workers from the recovered prefix.
+			resume := func(name string, cut []byte, want int) {
+				t.Helper()
+				if err := os.WriteFile(journal, cut, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				j, prefix, err := sweep.OpenJournalResume(journal, len(jobs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(prefix) != want {
+					t.Fatalf("%s: resume recovered %d runs, want %d", name, len(prefix), want)
+				}
+				rs, err := (&sweep.Runner{Workers: 8, Journal: j, Resume: prefix}).Run(g.Jobs(cfg))
+				if cerr := j.Close(); err == nil {
+					err = cerr
+				}
+				check(name, rs, err)
+			}
+			lines := bytes.SplitAfter(raw, []byte("\n")) // header, N results, ""
+			keep := 1 + len(jobs)/2                      // the header and half the results
 			torn := bytes.Join(lines[:keep], nil)
 			torn = append(torn, lines[keep][:len(lines[keep])/2]...)
-			if err := os.WriteFile(path, torn, 0o644); err != nil {
-				t.Fatal(err)
+			resume("resumed mid-line", torn, keep-1)
+			for k := 0; k <= len(jobs); k++ {
+				resume(fmt.Sprintf("resumed after line %d", k), bytes.Join(lines[:1+k], nil), k)
 			}
-			j, prefix, err := sweep.OpenJournalResume(path, len(jobs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(prefix) != keep-1 {
-				t.Fatalf("resume recovered %d runs from the torn journal, want %d", len(prefix), keep-1)
-			}
-			rs, err := (&sweep.Runner{Workers: 8, Journal: j, Resume: prefix}).Run(g.Jobs(cfg))
-			if cerr := j.Close(); err == nil {
-				err = cerr
-			}
-			check("resumed mid-line", rs, err)
 		})
 	}
 }

@@ -1,20 +1,26 @@
-// Package packetsim is a packet-identity twin of the core engine. Where
+// Package packetsim gives the core engine packet identities. Where
 // core.Engine tracks anonymous queue *counts* (all the paper's theory
 // needs), this engine tracks individual packets through FIFO queues, so
 // experiments can measure what the count model cannot: end-to-end
 // latency, hop counts, delivery ratios per source, and the age of the
 // oldest packet in flight.
 //
-// The step semantics are identical to core.Engine — same snapshot
-// planning, same physical validation, same extraction window — and a
-// cross-validation test asserts that, run side by side with the same
-// policies, the two engines produce byte-identical queue-length vectors
-// at every step.
+// The engine has no step logic of its own. It embeds a core.Engine with
+// tracing on, and each Step runs core's step and then replays the
+// recorded core.StepTrace on the packet queues: an injection appends new
+// packets, a validated send moves the sender's head packet to the
+// receiver's tail (or drops it when the send was lost), and an
+// extraction pops packets from the sink's head. Every queue length
+// therefore equals core's Q by construction, and every core extension
+// (dynamic topology, interference, lying declarations, any arrival or
+// loss process) moves packets as it moves counts.
+//
+// A queue rewrite has no packet identities to follow, so SetQueues
+// panics: fault schedules that drop queued packets apply to count
+// engines only.
 package packetsim
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -35,16 +41,12 @@ type Delivery struct {
 }
 
 // Engine is the packet-level simulator. Construct with New; the pluggable
-// behaviours default to the classical semantics exactly like core.Engine.
+// behaviours are the embedded core engine's own fields, with its
+// classical defaults.
 type Engine struct {
-	Spec     *core.Spec
-	Router   core.Router
-	Arrivals core.ArrivalProcess
-	Loss     core.LossModel
-	Declare  core.DeclarePolicy
-	Extract  core.ExtractPolicy
+	*core.Engine
 
-	T      int64
+	trace  *core.StepTrace
 	queues [][]Packet
 	nextID int64
 
@@ -64,37 +66,23 @@ type Engine struct {
 	SumLatency     int64
 	MaxLatency     int64
 	SumHops        int64
-
-	// scratch
-	inj      []int64
-	snapQ    []int64
-	declared []int64
-	sends    []core.Send
-	edgeUsed []int64
-	sentBy   []int64
 }
 
-// New builds a packet engine with classical defaults.
+// New builds a packet engine with classical defaults. spec must
+// validate.
 func New(spec *core.Spec, router core.Router) *Engine {
-	if err := spec.Validate(); err != nil {
-		panic(fmt.Sprintf("packetsim: invalid spec: %v", err))
-	}
-	n := spec.N()
+	ce := core.NewEngine(spec, router)
 	return &Engine{
-		Spec:           spec,
-		Router:         router,
-		Arrivals:       core.ExactArrivals{},
-		Loss:           core.NoLoss{},
-		Declare:        core.DeclareTruth{},
-		Extract:        core.ExtractMax{},
+		Engine:         ce,
+		trace:          ce.EnableTrace(),
+		queues:         make([][]Packet, spec.N()),
 		KeepDeliveries: true,
-		queues:         make([][]Packet, n),
-		inj:            make([]int64, n),
-		snapQ:          make([]int64, n),
-		declared:       make([]int64, n),
-		sentBy:         make([]int64, n),
-		edgeUsed:       make([]int64, spec.G.NumEdges()),
 	}
+}
+
+// SetQueues panics: a queue rewrite has no packet identities to follow.
+func (e *Engine) SetQueues([]int64) {
+	panic("packetsim: SetQueues has no packet identities to follow")
 }
 
 // QueueLen returns the current queue length of v.
@@ -173,73 +161,31 @@ func (e *Engine) MeanHops() float64 {
 	return float64(e.SumHops) / float64(e.Delivered)
 }
 
-// Step executes one synchronous step (mirroring core.Engine.Step).
+// pop removes and returns the head packet of v's queue.
+func (e *Engine) pop(v graph.NodeID) Packet {
+	q := e.queues[v]
+	e.queues[v] = q[1:]
+	return q[0]
+}
+
+// Step executes one core step and replays its trace on the packet
+// queues. Every send pops a packet that was queued at the snapshot, so a
+// packet arriving this step cannot be forwarded this step.
 func (e *Engine) Step() {
-	spec := e.Spec
-	g := spec.G
-	n := spec.N()
-
-	// Phase 1: injection (FIFO tail).
-	for v := range e.inj {
-		e.inj[v] = 0
-	}
-	e.Arrivals.Injections(e.T, spec, e.inj)
-	for v := 0; v < n; v++ {
-		for k := int64(0); k < e.inj[v]; k++ {
-			e.queues[v] = append(e.queues[v], Packet{
-				ID: e.nextID, Src: graph.NodeID(v), Born: e.T,
-			})
+	t := e.T
+	st := e.Engine.Step()
+	tr := e.trace
+	for v, k := range tr.Injected {
+		e.Injected += k
+		for ; k > 0; k-- {
+			e.queues[v] = append(e.queues[v], Packet{ID: e.nextID, Src: graph.NodeID(v), Born: t})
 			e.nextID++
-			e.Injected++
 		}
 	}
-
-	// Phase 2: snapshot + declarations.
-	for v := 0; v < n; v++ {
-		q := int64(len(e.queues[v]))
-		e.snapQ[v] = q
-		if r := spec.R[v]; r > 0 && q <= r {
-			d := e.Declare.Declare(e.T, graph.NodeID(v), q, r)
-			if d < 0 {
-				d = 0
-			}
-			if d > r {
-				d = r
-			}
-			e.declared[v] = d
-		} else {
-			e.declared[v] = q
-		}
-	}
-	snap := core.Snapshot{Spec: spec, T: e.T, Q: e.snapQ, Declared: e.declared}
-
-	// Phase 3: plan + validate.
-	e.sends = e.Router.Plan(&snap, e.sends[:0])
-	marker := e.T + 1
-	for v := range e.sentBy {
-		e.sentBy[v] = 0
-	}
-	valid := e.sends[:0]
-	for _, s := range e.sends {
-		if e.edgeUsed[s.Edge] == marker {
-			continue
-		}
-		if e.sentBy[s.From]+1 > e.snapQ[s.From] {
-			continue
-		}
-		e.edgeUsed[s.Edge] = marker
-		e.sentBy[s.From]++
-		valid = append(valid, s)
-	}
-	e.sends = valid
-
-	// Phase 4: transmit FIFO heads. All pops use the snapshot queues, so
-	// a packet arriving this step cannot be forwarded this step.
-	for _, s := range e.sends {
-		q := e.queues[s.From]
-		p := q[0]
-		e.queues[s.From] = q[1:]
-		if e.Loss.Lost(e.T, s.Edge, s.From) {
+	g := e.Spec.G
+	for i, s := range tr.Sends {
+		p := e.pop(s.From)
+		if tr.Lost[i] {
 			e.Lost++
 			continue
 		}
@@ -247,45 +193,20 @@ func (e *Engine) Step() {
 		to := s.To(g)
 		e.queues[to] = append(e.queues[to], p)
 	}
-
-	// Phase 5: extraction (FIFO heads at sinks).
-	for v := 0; v < n; v++ {
-		out := spec.Out[v]
-		if out == 0 {
-			continue
-		}
-		q := int64(len(e.queues[v]))
-		hi := min64(out, q)
-		var lo int64
-		if r := spec.R[v]; q > r {
-			lo = min64(out, q-r)
-		}
-		amt := e.Extract.Extract(e.T, graph.NodeID(v), lo, hi)
-		if amt < lo {
-			amt = lo
-		}
-		if amt > hi {
-			amt = hi
-		}
-		for k := int64(0); k < amt; k++ {
-			p := e.queues[v][0]
-			e.queues[v] = e.queues[v][1:]
-			lat := e.T - p.Born
+	for v, k := range tr.Extracted {
+		for ; k > 0; k-- {
+			p := e.pop(graph.NodeID(v))
+			lat := t - p.Born
 			e.Delivered++
 			e.SumLatency += lat
-			if lat > e.MaxLatency {
-				e.MaxLatency = lat
-			}
+			e.MaxLatency = max(e.MaxLatency, lat)
 			e.SumHops += int64(p.Hops)
 			if e.KeepDeliveries {
-				e.Deliveries = append(e.Deliveries, Delivery{
-					Packet: p, At: graph.NodeID(v), Done: e.T,
-				})
+				e.Deliveries = append(e.Deliveries, Delivery{Packet: p, At: graph.NodeID(v), Done: t})
 			}
 		}
 	}
-	e.T++
-	e.SumStored += e.Stored()
+	e.SumStored += st.Queued
 }
 
 // Run executes steps time steps.
@@ -302,11 +223,4 @@ func (e *Engine) Latencies() []int64 {
 		out[i] = d.Done - d.Born
 	}
 	return out
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

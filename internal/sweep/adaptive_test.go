@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +13,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 )
+
+// testContext returns a context that is cancelled when the test ends.
+// It stands in for t.Context, which needs Go 1.24; the module builds
+// with Go 1.22.
+func testContext(t testing.TB) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return ctx
+}
 
 // Rigged frontier coordinates of frontierTestSpace: the "sharp" group
 // flips verdict crisply at sharpCrit; the "fuzzy" group flips at
@@ -68,7 +78,7 @@ func runRigged(t *testing.T, workers int, base *Runner) *FrontierReport {
 		base = &Runner{}
 	}
 	base.Workers = workers
-	rep, err := RunFrontier(t.Context(), frontierTestSpace(), FrontierConfig{Axis: "rho", Tol: 0.02}, base)
+	rep, err := RunFrontier(testContext(t), frontierTestSpace(), FrontierConfig{Axis: "rho", Tol: 0.02}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +136,7 @@ func TestFrontierConvergesToRiggedCritical(t *testing.T) {
 func TestFrontierNotFound(t *testing.T) {
 	s := frontierTestSpace()
 	s.Axes[1] = Axis{Name: "rho", Min: 0.75, Max: 1} // above both criticals
-	rep, err := RunFrontier(t.Context(), s, FrontierConfig{Axis: "rho", Tol: 0.02}, &Runner{Workers: 2})
+	rep, err := RunFrontier(testContext(t), s, FrontierConfig{Axis: "rho", Tol: 0.02}, &Runner{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +152,10 @@ func TestFrontierNotFound(t *testing.T) {
 
 func TestFrontierConfigErrors(t *testing.T) {
 	s := frontierTestSpace()
-	if _, err := RunFrontier(t.Context(), s, FrontierConfig{Axis: "zeta"}, nil); err == nil || !strings.Contains(err.Error(), "no axis") {
+	if _, err := RunFrontier(testContext(t), s, FrontierConfig{Axis: "zeta"}, nil); err == nil || !strings.Contains(err.Error(), "no axis") {
 		t.Fatalf("unknown axis: %v", err)
 	}
-	if _, err := RunFrontier(t.Context(), s, FrontierConfig{Axis: "network"}, nil); err == nil || !strings.Contains(err.Error(), "categorical") {
+	if _, err := RunFrontier(testContext(t), s, FrontierConfig{Axis: "network"}, nil); err == nil || !strings.Contains(err.Error(), "categorical") {
 		t.Fatalf("categorical search axis: %v", err)
 	}
 }
@@ -244,7 +254,7 @@ func TestFrontierResumeFromTornJournal(t *testing.T) {
 func TestFrontierResumeRejectsForeignJournal(t *testing.T) {
 	full := runRigged(t, 2, nil)
 	extra := append(append([]Result(nil), full.Probes...), Result{Desc: Desc{Index: len(full.Probes)}})
-	_, err := RunFrontier(t.Context(), frontierTestSpace(), FrontierConfig{Axis: "rho", Tol: 0.02},
+	_, err := RunFrontier(testContext(t), frontierTestSpace(), FrontierConfig{Axis: "rho", Tol: 0.02},
 		&Runner{Workers: 2, Resume: extra})
 	if err == nil || !strings.Contains(err.Error(), "beyond the adaptive refinement") {
 		t.Fatalf("oversized resume prefix: %v", err)

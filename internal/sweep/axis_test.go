@@ -181,22 +181,3 @@ func TestSpaceGroupsAndPointWith(t *testing.T) {
 		t.Fatalf("groups with stray continuous axis: %v", err)
 	}
 }
-
-// TestLegacyGridDescUnchanged pins the compat layer: the legacy Grid's
-// jobs keep their historical descriptors (Seed == BaseSeed, bare variant
-// labels, no Coords) so journaled sweeps resume across the redesign.
-func TestLegacyGridDescUnchanged(t *testing.T) {
-	jobs := testGrid(2, 100).Jobs()
-	for i, j := range jobs {
-		d := j.Desc
-		if d.Seed != 1 {
-			t.Fatalf("job %d: legacy seed %d, want BaseSeed 1", i, d.Seed)
-		}
-		if d.Coords != nil {
-			t.Fatalf("job %d: legacy grid grew coords %+v", i, d.Coords)
-		}
-	}
-	if jobs[0].Desc.Network != "line(5)" || jobs[0].Desc.Router != "lgg" || jobs[0].Desc.Variant != "exact" {
-		t.Fatalf("legacy descriptor changed: %+v", jobs[0].Desc)
-	}
-}

@@ -64,7 +64,7 @@ type CellStats struct {
 	FaultPeakPotential int64   `json:"fault_peak_potential,omitempty"`
 	FaultPeakBacklog   int64   `json:"fault_peak_backlog,omitempty"`
 	// Coords reports the cell's numeric axis coordinates by name, for
-	// spaces with numeric axes (empty on legacy categorical grids).
+	// spaces with numeric axes (empty on purely categorical spaces).
 	Coords []AxisValue `json:"coords,omitempty"`
 }
 

@@ -186,10 +186,12 @@ func WithNodeExclusiveInterference(e *Engine, oracle bool) *Engine {
 	return e
 }
 
-// PacketEngine is the packet-identity twin of Engine: FIFO queues with
+// PacketEngine adds packet identities to Engine: FIFO queues with
 // tracked packets, yielding latency, hop-count and delivery metrics the
-// count model cannot provide. Its step semantics are cross-validated to
-// match Engine exactly.
+// count model cannot provide. It embeds an Engine and replays each
+// step's trace on its queues, so its counts match Engine's by
+// construction, under every extension (topology, interference, lying,
+// losses). Its SetQueues panics: a queue rewrite names no packets.
 type PacketEngine = packetsim.Engine
 
 // NewPacketEngine builds a packet-level engine with classical defaults.
