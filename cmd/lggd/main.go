@@ -22,15 +22,16 @@
 // by run-index range across a fleet of ordinary lggd workers (seeded
 // with -fleet, grown at runtime via POST /v1/fleet/join) and k-way
 // merging their journals into results byte-identical to a single
-// daemon's. Straggler leases adapt to each worker's measured service
-// rate (-lease is just the ceiling), erroring workers are browned out
-// and drained instead of fed more ranges, and departed workers age out
-// through -suspect-after/-dead-after instead of holding leases. Tenants
-// are isolated by -tenant-quota with fair-share dispatch, and finished
-// jobs compact into per-cell summaries at GET /v1/results. A worker started with -join (one or
-// more coordinator URLs, comma-separated) registers itself and
-// re-registers on a jittered cadence, so a restarted coordinator
-// re-learns its fleet without a thundering herd.
+// daemon's. Each range goes to the least-loaded alive worker; one still
+// running after -lease is stolen by another worker, a failed attempt
+// retries on a worker the range has not tried, and departed workers age
+// out through -suspect-after/-dead-after instead of holding leases.
+// Tenants are isolated by -tenant-quota with fair-share dispatch, and
+// finished jobs compact into per-cell summaries at GET /v1/results. A
+// worker started with -join (one or more coordinator URLs,
+// comma-separated) registers itself and re-registers on a jittered
+// cadence, so a restarted coordinator re-learns its fleet without a
+// thundering herd.
 //
 // With -coordinator -standby -primary http://coord:8321 the process is
 // a warm standby: it refuses submissions (503 + Retry-After), tails the
@@ -58,7 +59,6 @@
 //	lggd [-addr 127.0.0.1:8321] [-state lggd-state] [-jobs 2] [-queue 16]
 //	     [-sweep-workers 0] [-retries 0] [-drain-grace 30s]
 //	     [-join http://coord:8321,http://coord2:8321] [-advertise http://me:8321]
-//	     [-capacity 12.5]
 //	lggd -coordinator [-fleet url1,url2] [-range-runs 8] [-lease 60s]
 //	     [-tenant-quota 4] [-keep-journals 0] [-suspect-after 75s]
 //	     [-dead-after 150s] [-retry-budget 0] [...]
@@ -110,13 +110,11 @@ func main() {
 		coordinator  = flag.Bool("coordinator", false, "run as a federation coordinator: shard jobs across a worker fleet instead of executing them")
 		fleetArg     = flag.String("fleet", "", "coordinator: comma-separated worker base URLs seeding the fleet")
 		rangeRuns    = flag.Int("range-runs", 8, "coordinator: runs per range handed to one worker")
-		lease        = flag.Duration("lease", 60*time.Second, "coordinator: straggler-lease ceiling; actual leases adapt to each worker's measured service rate")
+		lease        = flag.Duration("lease", 60*time.Second, "coordinator: straggler lease; a range attempt running this long is stolen by another worker")
 		tenantQuota  = flag.Int("tenant-quota", 4, "coordinator: max live (queued+running) jobs per tenant; negative = unlimited")
 		keepJournals = flag.Int("keep-journals", 0, "coordinator: after compaction keep only this many merged journals (0 = all)")
 		suspectAfter = flag.Duration("suspect-after", 75*time.Second, "coordinator: mark a worker suspect after this long without contact")
 		deadAfter    = flag.Duration("dead-after", 0, "coordinator: drop a worker after this long without contact (0 = 2×-suspect-after)")
-		brownoutErr  = flag.Float64("brownout-err-rate", 0.5, "coordinator: smoothed attempt-error share that browns a worker out of dispatch")
-		brownoutCool = flag.Duration("brownout-cooldown", 20*time.Second, "coordinator: how long a browned-out worker sits before a half-open probe")
 
 		standby       = flag.Bool("standby", false, "coordinator: run as a warm standby that tails -primary and takes over on missed heartbeats")
 		primary       = flag.String("primary", "", "standby: the primary coordinator's base URL")
@@ -128,7 +126,6 @@ func main() {
 
 		join      = flag.String("join", "", "worker: register with the federation coordinator(s) at these comma-separated URLs and re-register on a jittered cadence")
 		advertise = flag.String("advertise", "", "worker: base URL advertised on -join (default http://<addr>)")
-		capacity  = flag.Float64("capacity", 0, "worker: declared service rate in runs/sec advertised on -join (0 = undeclared); dispatch weights by max(declared, observed)")
 
 		chaosArg        = flag.String("chaos", "", "inject deterministic faults into this process's outbound HTTP: a chaos schedule (text or JSON, @file to load), e.g. 'reset@0-8:p=0.5;latency@0-64:ms=5'")
 		chaosSeed       = flag.Uint64("chaos-seed", 1, "chaos: RNG seed; same schedule+seed replays the same injected-event transcript")
@@ -150,9 +147,6 @@ func main() {
 	}
 	if (*rank != 0 || *watchArg != "" || *retryBudget != 0) && !*coordinator {
 		log.Fatalf("lggd: -rank, -watch and -retry-budget are coordinator flags")
-	}
-	if *capacity < 0 {
-		log.Fatalf("lggd: -capacity must be non-negative")
 	}
 
 	// The chaos injector, when configured, owns every outbound HTTP call
@@ -210,11 +204,7 @@ func main() {
 			Heartbeat:     *heartbeat,
 			FailoverAfter: *failoverAfter,
 			Client:        ccfg,
-			Health: federation.HealthConfig{
-				BrownoutErrRate:  *brownoutErr,
-				BrownoutCooldown: *brownoutCool,
-			},
-			Logf: log.Printf,
+			Logf:          log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("lggd: %v", err)
@@ -259,7 +249,7 @@ func main() {
 			httpc.Transport = injector.Transport(*chaosName, nil)
 		}
 		for _, coordURL := range splitURLs(*join) {
-			go joinLoop(httpc, coordURL, self, *capacity, stopJoin)
+			go joinLoop(httpc, coordURL, self, stopJoin)
 		}
 	}
 
@@ -342,14 +332,10 @@ func splitURLs(arg string) []string {
 // after a failure. Both cadences are jittered across [d/2, 3d/2): a
 // fleet restarted together must not re-join in lockstep and thundering-
 // herd the coordinator every interval thereafter.
-// Each join re-POST doubles as a heartbeat carrying the worker's
-// declared capacity hint, so a re-tuned worker propagates its new rate
-// within one cadence.
-func joinLoop(httpc *http.Client, coordURL, self string, capacity float64, stop <-chan struct{}) {
+func joinLoop(httpc *http.Client, coordURL, self string, stop <-chan struct{}) {
 	body, _ := json.Marshal(struct {
-		URL      string  `json:"url"`
-		Capacity float64 `json:"capacity_runs_per_sec,omitempty"`
-	}{self, capacity})
+		URL string `json:"url"`
+	}{self})
 	url := strings.TrimRight(coordURL, "/")
 	if !strings.Contains(url, "://") {
 		url = "http://" + url

@@ -201,19 +201,29 @@ func TestFullRunMatchesCommitted(t *testing.T) {
 	}
 }
 
-// gridDigests pins the results JSONL of each named grid at quick size and
-// seed 1: the SHA-256 of
-//
-//	lggsweep -grid <name> -quick -seeds 3 -horizon 400 -seed 1
-//
-// The faults grid includes crash-drop runs, whose queue drop happens
-// between steps.
-var gridDigests = []struct{ grid, sha string }{
-	{"stability", "41129c1e2327d180aecd624fb0542d46674bdcee2160141015e0683dc584e9b7"},
-	{"generalized", "3e25d5df0ba5a5eabb520997a5c444a2f651d5c6ef9515d8fd4effe064f0b480"},
-	{"duel", "27fa3f441577d6bef6fe11414e58496172e21b6211803f0dc31f0d69998093b9"},
-	{"faults", "90a48db4ff218578463eed662880267e4bb9d7703254b63bbf120c20cc0397ad"},
-	{"frontier", "5f6c8fd0090f5157ff2c7cb89ab5c7e9547eab24c7dbc4de014fcdd97a802efc"},
+// gridDigests reads the committed results digest of each named grid at
+// quick size and seed 1 from testdata/grid_digests.txt.
+func gridDigests(t *testing.T) []struct{ grid, sha string } {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "grid_digests.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []struct{ grid, sha string }
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			t.Fatalf("grid_digests.txt: %q is not \"<grid> <sha256>\"", line)
+		}
+		out = append(out, struct{ grid, sha string }{f[0], f[1]})
+	}
+	if len(out) == 0 {
+		t.Fatal("grid_digests.txt lists no grids")
+	}
+	return out
 }
 
 func digest(t *testing.T, rs []sweep.Result) string {
@@ -232,7 +242,7 @@ func digest(t *testing.T, rs []sweep.Result) string {
 // digest.
 func TestGridDigests(t *testing.T) {
 	cfg := QuickConfig()
-	for _, c := range gridDigests {
+	for _, c := range gridDigests(t) {
 		t.Run(c.grid, func(t *testing.T) {
 			g, err := FindGrid(c.grid)
 			if err != nil {

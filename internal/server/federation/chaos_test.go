@@ -14,6 +14,27 @@ import (
 	"repro/internal/sweep"
 )
 
+// withChaos splices a seed-42 injector for sched into cfg's
+// worker-facing HTTP transport, registering urls as worker1, worker2, …
+// for route matching. The chaos suite exercises the dispatch plane, not
+// the client breaker: each worker client gets enough attempts to
+// outlast a fault window, and the breaker is kept out of the way.
+func withChaos(t *testing.T, cfg Config, sched chaos.Schedule, urls []string) (Config, *chaos.Injector) {
+	t.Helper()
+	in := chaos.MustInjector(sched, 42)
+	for i, u := range urls {
+		pu, err := url.Parse(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Register(fmt.Sprintf("worker%d", i+1), pu.Host)
+	}
+	cfg.Client.MaxAttempts = 4
+	cfg.Client.BreakerThreshold = 100
+	cfg.Client.HTTP = &http.Client{Transport: in.Transport("coordinator", nil)}
+	return cfg, in
+}
+
 // TestShippedChaosSchedulesHoldInvariants runs a federated sweep under
 // every shipped chaos schedule, with the injector spliced into the
 // coordinator's worker-facing HTTP transport, and asserts the four
@@ -36,24 +57,12 @@ func TestShippedChaosSchedulesHoldInvariants(t *testing.T) {
 
 	for name, sched := range chaos.Shipped() {
 		t.Run(name, func(t *testing.T) {
-			in := chaos.MustInjector(sched, 42)
 			var urls []string
 			for i := 0; i < 2; i++ {
 				_, u := newWorker(t, nil)
 				urls = append(urls, u)
-				pu, err := url.Parse(u)
-				if err != nil {
-					t.Fatal(err)
-				}
-				in.Register(fmt.Sprintf("worker%d", i+1), pu.Host)
 			}
-			cfg := Config{RangeRuns: 3}
-			// The chaos suite exercises the dispatch plane, not the
-			// client breaker: give each worker client enough attempts to
-			// outlast a fault window and keep the breaker out of the way.
-			cfg.Client.MaxAttempts = 4
-			cfg.Client.BreakerThreshold = 100
-			cfg.Client.HTTP = &http.Client{Transport: in.Transport("coordinator", nil)}
+			cfg, in := withChaos(t, Config{RangeRuns: 3}, sched, urls)
 			c, _ := newCoordinator(t, cfg, urls...)
 
 			st, created, err := c.Admit(spec, "")

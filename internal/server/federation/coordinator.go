@@ -30,19 +30,18 @@
 // the job, not the coordinator. Fleet membership is age-based: every
 // worker contact refreshes a liveness age, standbys mirror the primary's
 // view as age vectors (membership.go), and departed workers age out
-// through suspicion instead of holding leases. Dispatch is
-// health-aware: per-worker EWMA service rates drive adaptive straggler
-// leases, and a worker whose error share crosses a threshold is browned
-// out and drained instead of fed more ranges (health.go).
+// through suspicion instead of holding leases. A range goes to the alive
+// worker with the fewest live attempts and is stolen after a fixed
+// lease; a failed attempt retries on a worker the range has not tried.
 //
 // Everything a job goes through between admission and a terminal state
 // — the job table, the tenant queue with its per-tenant quotas, the
 // ledger, cancel, dispatch, drain and the HTTP job surface — is the job
 // plane of package server, shared with the single daemon. A Coordinator
 // is that plane with a fleet executor (Execute) plus what only a
-// coordinator has: the fleet, its health board, the standby chain and a
-// compacting result store that distils finished jobs into per-cell
-// summaries queryable without replaying journals (store.go).
+// coordinator has: the fleet, the standby chain and a compacting result
+// store that distils finished jobs into per-cell summaries queryable
+// without replaying journals (store.go).
 package federation
 
 import (
@@ -52,7 +51,6 @@ import (
 	mrand "math/rand"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -85,17 +83,12 @@ type Config struct {
 	// ranges steal and rebalance faster; larger ones amortise per-job
 	// HTTP overhead.
 	RangeRuns int
-	// Lease is the straggler-lease ceiling and cold-start value
-	// (default 60s). Once a worker has observed throughput, its actual
-	// lease adapts: Health.LeaseFactor times the expected range
-	// duration at max(its own EWMA rate, the fleet mean), clamped to
-	// [Health.MinLease, Lease] — so a worker that falls behind the
-	// fleet is stolen from sooner, without any fixed -lease tuning.
+	// Lease is the straggler lease (default 60s): a range attempt still
+	// running after Lease gets a concurrent attempt on another worker,
+	// and the first to finish wins.
 	Lease time.Duration
 	// StealMax caps concurrent attempts per range, the original lease
-	// included (default 2). Attempts stuck on suspect or browned-out
-	// workers don't count against the cap, so a dying worker can't pin
-	// a range to its own corpse.
+	// included (default 2).
 	StealMax int
 	// Poll is the worker job poll cadence (default 200ms).
 	Poll time.Duration
@@ -153,9 +146,6 @@ type Config struct {
 	// block the join handler (default 2s). Also bounds the periodic
 	// liveness probes of stale members.
 	JoinPingTimeout time.Duration
-	// Health tunes worker health scoring (EWMA rates, adaptive leases,
-	// brown-out); zero values take HealthConfig defaults.
-	Health HealthConfig
 	// ReapAttempts / ReapBackoff shape the retry loop that cancels
 	// abandoned worker-side jobs after a steal won or a client
 	// cancelled (defaults 4 / 250ms, doubling).
@@ -198,13 +188,11 @@ const (
 	MetricDemotions        = "lggfed_demotions_total"
 	MetricHeartbeatsMissed = "lggfed_heartbeats_missed_total"
 	MetricMembersSuspect   = "lggfed_members_suspect"
-	MetricBrownedOut       = "lggfed_workers_browned_out"
 	MetricReapFailures     = "lggfed_reap_failures_total"
 )
 
 // worker is one fleet member's client handle. Liveness lives in the
-// membership table, scheduling health in the health board — both keyed
-// by URL.
+// membership table, keyed by URL.
 type worker struct {
 	url string
 	cli *client.Client
@@ -218,7 +206,6 @@ type Coordinator struct {
 	cfg     Config
 	rstore  *resultStore
 	members *membership
-	health  *healthBoard
 
 	upstreams []*upstream // the failover chain this coordinator monitors
 
@@ -231,10 +218,10 @@ type Coordinator struct {
 	mirrorEpoch  int64 // primary's epoch as last mirrored by a standby
 	maxSeenEpoch int64 // highest epoch observed from any coordinator
 
-	gFleet, gEpoch, gRank, gSuspect, gBrowned *metrics.Gauge
-	cRanges, cStolen, cRetried, cCells        *metrics.Counter
-	cFailovers, cDemotions                    *metrics.Counter
-	cBeatsMissed, cReapFail                   *metrics.Counter
+	gFleet, gEpoch, gRank, gSuspect    *metrics.Gauge
+	cRanges, cStolen, cRetried, cCells *metrics.Counter
+	cFailovers, cDemotions             *metrics.Counter
+	cBeatsMissed, cReapFail            *metrics.Counter
 }
 
 // upstream is one coordinator in the failover chain that this one
@@ -317,7 +304,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:         cfg,
 		members:     newMembership(cfg.SuspectAfter, cfg.DeadAfter, cfg.Now),
-		health:      newHealthBoard(cfg.Health, cfg.Lease, cfg.Now),
 		workers:     make(map[string]*worker),
 		outstanding: make(map[string]int),
 		probing:     make(map[string]bool),
@@ -344,7 +330,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c.gEpoch = reg.Gauge(MetricEpoch, "Leadership epoch (increments at every failover).")
 	c.gRank = reg.Gauge(MetricRank, "This coordinator's fixed failover rank (0 = configured primary).")
 	c.gSuspect = reg.Gauge(MetricMembersSuspect, "Fleet members past the suspicion threshold.")
-	c.gBrowned = reg.Gauge(MetricBrownedOut, "Workers browned out by error rate.")
 	c.cRanges = reg.Counter(MetricRangesDone, "Ranges completed by the fleet.")
 	c.cStolen = reg.Counter(MetricRangesStolen, "Ranges re-leased past their straggler deadline.")
 	c.cRetried = reg.Counter(MetricRangesRetried, "Range attempts retried after a worker failure.")
@@ -484,18 +469,12 @@ func (c *Coordinator) Fleet() []string {
 }
 
 // FleetMembers is the live-worker view served at GET /v1/fleet: each
-// member's liveness state, age since last contact, and scheduling
-// health.
+// member's liveness state and age since last contact.
 func (c *Coordinator) FleetMembers() []server.FleetMember {
 	rows := c.members.view()
 	out := make([]server.FleetMember, 0, len(rows))
 	for _, row := range rows {
-		out = append(out, server.FleetMember{
-			URL:    row.url,
-			State:  row.state,
-			AgeMS:  row.age.Milliseconds(),
-			Health: c.health.snapshot(row.url, c.cfg.RangeRuns),
-		})
+		out = append(out, server.FleetMember{URL: row.url, State: row.state, AgeMS: row.age.Milliseconds()})
 	}
 	return out
 }
@@ -513,17 +492,12 @@ func (c *Coordinator) Status() server.CoordStatus {
 }
 
 // nextWorker picks a worker for one range attempt, preferring — in
-// order — an alive, healthy worker not in exclude; then any non-excluded
+// order — the alive worker not in exclude with the fewest live
+// attempts, round-robin position breaking ties; then any non-excluded
 // worker; then anyone at all (a degraded fleet still beats abandoning
-// the range). Among the healthy (first-pass) candidates placement is
-// capacity-weighted least-loaded: each candidate is scored by its live
-// attempt count divided by its effective service rate
-// (max of declared capacity and observed EWMA), so a worker that
-// declares — or demonstrates — twice the throughput absorbs twice the
-// outstanding ranges before a peer is preferred. Rate-less fleets
-// degenerate to the plain least-loaded round-robin. The chosen worker's
-// outstanding count is incremented here; the caller releases it via
-// releaseWorker when the attempt resolves.
+// the range). The chosen worker's outstanding count is incremented
+// here; the caller releases it via releaseWorker when the attempt
+// resolves.
 func (c *Coordinator) nextWorker(exclude map[string]bool) *worker {
 	rows := c.members.view()
 	n := len(rows)
@@ -532,63 +506,39 @@ func (c *Coordinator) nextWorker(exclude map[string]bool) *worker {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Pass 0: alive, non-excluded workers ordered by load per unit of
-	// capacity (round-robin position breaks ties, preserving rotation).
-	type candidate struct {
-		w    *worker
-		url  string
-		load float64
-		ord  int
+	take := func(i int) *worker {
+		url := rows[(c.rrWorker+i)%n].url
+		c.rrWorker = (c.rrWorker + i + 1) % n
+		c.outstanding[url]++
+		return c.workers[url]
 	}
-	var cands []candidate
+	best, bestLoad := -1, 0
 	for i := 0; i < n; i++ {
 		row := rows[(c.rrWorker+i)%n]
-		w := c.workers[row.url]
-		if w == nil || exclude[row.url] || row.state != stateAlive {
+		if c.workers[row.url] == nil || exclude[row.url] || row.state != stateAlive {
 			continue
 		}
-		weight := c.health.effectiveRate(row.url)
-		if weight <= 0 {
-			weight = 1
+		if load := c.outstanding[row.url]; best < 0 || load < bestLoad {
+			best, bestLoad = i, load
 		}
-		cands = append(cands, candidate{w: w, url: row.url, load: float64(c.outstanding[row.url]) / weight, ord: i})
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].load != cands[b].load {
-			return cands[a].load < cands[b].load
-		}
-		return cands[a].ord < cands[b].ord
-	})
-	for _, cd := range cands {
-		// health.available claims the half-open probe slot of a
-		// cooled-down brown-out, so it must run only on a worker we
-		// will actually use — it is the last check.
-		if c.health.available(cd.url) {
-			c.rrWorker = (c.rrWorker + cd.ord + 1) % n
-			c.outstanding[cd.url]++
-			return cd.w
-		}
+	if best >= 0 {
+		return take(best)
 	}
 	for pass := 1; pass < 3; pass++ {
 		for i := 0; i < n; i++ {
-			row := rows[(c.rrWorker+i)%n]
-			w := c.workers[row.url]
-			if w == nil {
+			url := rows[(c.rrWorker+i)%n].url
+			if c.workers[url] == nil || (pass < 2 && exclude[url]) {
 				continue
 			}
-			if pass < 2 && exclude[row.url] {
-				continue
-			}
-			c.rrWorker = (c.rrWorker + i + 1) % n
-			c.outstanding[row.url]++
-			return w
+			return take(i)
 		}
 	}
 	return nil
 }
 
 // releaseWorker retires one live range attempt from url's outstanding
-// count (the capacity-weighted dispatch denominator).
+// count, the load nextWorker places by.
 func (c *Coordinator) releaseWorker(url string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -735,17 +685,14 @@ type rangeOutcome struct {
 	rs  []sweep.Result
 	err error
 	url string
-	dur time.Duration
 }
 
-// runRange executes one shard with straggler work-stealing: the first
-// attempt gets its worker's adaptive lease to finish; each lease expiry
-// launches another attempt on a different worker and the first success
-// wins. Failed attempts relaunch immediately on the next worker. The
-// live-attempt cap is StealMax, widened by any attempts stuck on
-// suspect or browned-out workers (a dying worker must not pin the range
-// to itself); the total attempt budget is maxAttempts, and exhausting
-// it fails the range (and hence the job).
+// runRange executes one shard with straggler work-stealing: an attempt
+// still running after Lease gets another attempt on a different worker,
+// and the first success wins. Failed attempts relaunch immediately on
+// the next worker. At most StealMax attempts run at once; the total
+// attempt budget is maxAttempts, and exhausting it fails the range (and
+// hence the job).
 func (c *Coordinator) runRange(ctx context.Context, spec server.JobSpec, jobKey string, rg runRange) ([]sweep.Result, error) {
 	rctx, rcancel := context.WithCancel(ctx)
 	defer rcancel() // losers stop polling once a winner returns
@@ -763,46 +710,38 @@ func (c *Coordinator) runRange(ctx context.Context, spec server.JobSpec, jobKey 
 	// HTTP teardown.
 	outcome := make(chan rangeOutcome, maxAttempts)
 	tried := make(map[string]bool)
-	liveOn := make(map[string]int)
 	attempts, live := 0, 0
 	var lastErr error
 
-	// launch starts one more attempt and returns the chosen worker's
-	// adaptive lease (0 when no worker was found).
-	launch := func() time.Duration {
+	// launch starts one more attempt and reports whether a worker was
+	// found for it.
+	launch := func() bool {
 		w := c.nextWorker(tried)
 		if w == nil {
-			return 0
+			return false
 		}
 		tried[w.url] = true
 		attempts++
 		live++
-		liveOn[w.url]++
 		c.Go(func(<-chan struct{}) {
-			began := time.Now()
 			rs, err := c.attemptRange(rctx, w, spec, jobKey, rg)
 			// Released here, not in the channel reader: an abandoned
 			// attempt's goroutine outlives the range, and its slot must
-			// count against the worker's capacity until it resolves.
+			// count against the worker's load until it resolves.
 			c.releaseWorker(w.url)
-			outcome <- rangeOutcome{rs: rs, err: err, url: w.url, dur: time.Since(began)}
+			outcome <- rangeOutcome{rs: rs, err: err, url: w.url}
 		})
-		return c.health.lease(w.url, rg.count)
+		return true
 	}
-	leaseDur := launch()
-	if leaseDur <= 0 {
-		leaseDur = c.cfg.Lease
-	}
-	lease := time.NewTimer(leaseDur)
+	launch()
+	lease := time.NewTimer(c.cfg.Lease)
 	defer lease.Stop()
 
 	for {
 		select {
 		case o := <-outcome:
 			live--
-			liveOn[o.url]--
 			if o.err == nil {
-				c.health.success(o.url, rg.count, o.dur)
 				c.members.observe(o.url)
 				return o.rs, nil
 			}
@@ -810,7 +749,6 @@ func (c *Coordinator) runRange(ctx context.Context, spec server.JobSpec, jobKey 
 			if rctx.Err() != nil {
 				return nil, lastErr
 			}
-			c.health.failure(o.url)
 			c.cfg.Logf("lggfed: %v", lastErr)
 			if attempts >= maxAttempts {
 				if live == 0 {
@@ -819,37 +757,21 @@ func (c *Coordinator) runRange(ctx context.Context, spec server.JobSpec, jobKey 
 				continue // a steal is still in flight; it may yet win
 			}
 			c.cRetried.Inc()
-			if d := launch(); d > 0 {
+			if launch() {
 				lease.Stop()
-				lease.Reset(d)
+				lease.Reset(c.cfg.Lease)
 			}
 		case <-lease.C:
-			next := c.cfg.Lease
-			if live < c.cfg.StealMax+c.stuckAttempts(liveOn) && attempts < maxAttempts {
+			if live < c.cfg.StealMax && attempts < maxAttempts {
 				c.cStolen.Inc()
 				c.cfg.Logf("lggfed: range %d+%d past its lease, re-leasing", rg.start, rg.count)
-				if d := launch(); d > 0 {
-					next = d
-				}
+				launch()
 			}
-			lease.Reset(next)
+			lease.Reset(c.cfg.Lease)
 		case <-rctx.Done():
 			return nil, rctx.Err()
 		}
 	}
-}
-
-// stuckAttempts counts live attempts held by workers that are currently
-// suspect or browned out; runRange widens the steal budget by this much
-// so a dying worker's lease cannot exclude healthy replacements.
-func (c *Coordinator) stuckAttempts(liveOn map[string]int) int {
-	extra := 0
-	for url, n := range liveOn {
-		if n > 0 && (c.members.suspected(url) || c.health.unhealthyNow(url)) {
-			extra += n
-		}
-	}
-	return extra
 }
 
 // attemptRange runs one shard on one worker: submit the range job
@@ -930,8 +852,7 @@ func (c *Coordinator) reap(stop <-chan struct{}, w *worker, workerJob string) {
 // membershipLoop ages the fleet: stale members get an active liveness
 // probe (statically seeded workers never re-join, so without probing a
 // healthy fleet would silently age out), members past DeadAfter are
-// removed, and the fleet gauges — including the per-worker health
-// export — are refreshed.
+// removed, and the fleet gauges are refreshed.
 func (c *Coordinator) membershipLoop(stop <-chan struct{}) {
 	tick := c.cfg.SuspectAfter / 8
 	if tick < 50*time.Millisecond {
@@ -978,41 +899,27 @@ func (c *Coordinator) membershipRound() {
 		c.mu.Lock()
 		delete(c.workers, url)
 		c.mu.Unlock()
-		c.health.forget(url)
 		c.cfg.Logf("lggfed: worker %s unheard from for %v, aged out of the fleet", url, c.cfg.DeadAfter)
 	}
 	c.updateFleetMetrics()
 }
 
-// updateFleetMetrics refreshes the fleet gauges, including one gauge
-// set per worker (suffixed with the sanitised worker address) so
-// brown-outs and adaptive leases are observable per worker.
+// updateFleetMetrics refreshes the fleet gauges, including one
+// liveness gauge per worker (suffixed with the sanitised worker
+// address).
 func (c *Coordinator) updateFleetMetrics() {
 	rows := c.members.view()
 	c.gFleet.Set(int64(len(rows)))
 	suspect := 0
 	for _, row := range rows {
-		if row.state == stateSuspect {
-			suspect++
-		}
-		h := c.health.snapshot(row.url, c.cfg.RangeRuns)
-		sfx := metricSuffix(row.url)
 		state := int64(1)
 		if row.state != stateAlive {
 			state = 0
+			suspect++
 		}
-		c.cfg.Registry.Gauge("lggfed_worker_state_"+sfx, "Worker liveness (1 alive, 0 suspect).").Set(state)
-		brown := int64(0)
-		if h.BrownedOut {
-			brown = 1
-		}
-		c.cfg.Registry.Gauge("lggfed_worker_browned_out_"+sfx, "Worker brown-out (1 browned out).").Set(brown)
-		c.cfg.Registry.Gauge("lggfed_worker_milli_runs_per_sec_"+sfx, "EWMA service rate in milli-runs per second.").Set(int64(h.EWMARunsPerSec * 1000))
-		c.cfg.Registry.Gauge("lggfed_worker_failures_"+sfx, "Failed range attempts on this worker.").Set(h.Failures)
-		c.cfg.Registry.Gauge("lggfed_worker_lease_ms_"+sfx, "Adaptive straggler lease in milliseconds.").Set(h.LeaseMS)
+		c.cfg.Registry.Gauge("lggfed_worker_state_"+metricSuffix(row.url), "Worker liveness (1 alive, 0 suspect).").Set(state)
 	}
 	c.gSuspect.Set(int64(suspect))
-	c.gBrowned.Set(int64(c.health.brownedOut()))
 }
 
 // metricSuffix folds a worker URL into the Prometheus name charset:

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,8 +23,9 @@ import (
 
 // unitResolver mirrors the server package's synthetic grid: a "unit"
 // grid whose run count is seeds (one line(5) network), so tests size
-// jobs precisely. perRun, when non-zero, is injected into every Build —
-// the hook that makes one worker a straggler without changing a single
+// jobs precisely; every other name resolves as experiments.FindGrid
+// does. perRun, when non-zero, is injected into every unit Build — the
+// hook that makes one worker a straggler without changing a single
 // result byte.
 func unitResolver(perRun func()) server.GridResolver {
 	ng := experiments.NamedGrid{
@@ -60,7 +62,7 @@ func unitResolver(perRun func()) server.GridResolver {
 		if name == "unit" {
 			return ng, nil
 		}
-		return experiments.NamedGrid{}, fmt.Errorf("unknown grid %q", name)
+		return experiments.FindGrid(name)
 	}
 }
 
@@ -119,7 +121,11 @@ func newCoordinator(t *testing.T, cfg Config, workers ...string) (*Coordinator, 
 	return c, ts
 }
 
-func waitTerminal(t *testing.T, c *Coordinator, id string, timeout time.Duration) server.JobState {
+// waitTerminal polls a front end's job table (a Coordinator's or a
+// daemon's plane) until job id is terminal.
+func waitTerminal(t *testing.T, c interface {
+	Job(string) (server.JobState, bool)
+}, id string, timeout time.Duration) server.JobState {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -268,6 +274,47 @@ func TestRangesRerouteAroundDeadWorker(t *testing.T) {
 	}
 }
 
+// TestErroringWorkerIsRoutedAround rigs one worker to 500 every job
+// submission. The sweep must complete byte-identical to a single-daemon
+// run on the healthy worker alone, its failed attempts retried there.
+func TestErroringWorkerIsRoutedAround(t *testing.T) {
+	spec := testSpec(12)
+	ref := singleDaemonJournal(t, spec)
+
+	_, good := newWorker(t, nil)
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/jobs") {
+			http.Error(w, `{"error":"disk on fire"}`, http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Write([]byte("ok\n"))
+	}))
+	t.Cleanup(bad.Close)
+
+	reg := metrics.NewRegistry()
+	c, _ := newCoordinator(t, Config{RangeRuns: 2, Registry: reg}, good, bad.URL)
+
+	st, created, err := c.Admit(spec, "")
+	if err != nil || !created {
+		t.Fatalf("admit: created=%v err=%v", created, err)
+	}
+	final := waitTerminal(t, c, st.ID, 60*time.Second)
+	if final.Status != server.StatusDone {
+		t.Fatalf("sweep ended %s with a half-broken fleet: %s", final.Status, final.Error)
+	}
+	got, err := os.ReadFile(c.JournalPath(st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, ref) {
+		t.Fatal("merged journal differs from the single-daemon journal")
+	}
+	if n := reg.Counter(MetricRangesRetried, "").Value(); n == 0 {
+		t.Fatal("no range attempt was retried despite an erroring worker")
+	}
+}
+
 func TestTenantQuotaRefusesWithRetryAfterHTTP(t *testing.T) {
 	// A worker that naps per run keeps jobs live long enough for the
 	// quota to bite.
@@ -398,7 +445,18 @@ func TestFleetJoinValidatesWorker(t *testing.T) {
 	if resp := join(url); resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-join: got %d, want 200", resp.StatusCode)
 	}
-	resp, err := http.Get(ts.URL + "/v1/fleet")
+	// A join body from an older worker still carries a capacity hint;
+	// the decoder ignores it.
+	resp, err := http.Post(ts.URL+"/v1/fleet/join", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"url":%q,"capacity_runs_per_sec":12.5}`, url)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("join with a capacity hint: got %d, want 200", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/v1/fleet")
 	if err != nil {
 		t.Fatal(err)
 	}

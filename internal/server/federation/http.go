@@ -14,13 +14,12 @@ import (
 // lggd client, including cmd/lggsweep -remote, can point at a
 // coordinator unchanged. On top:
 //
-//	POST /v1/fleet/join          a worker registers itself ({"url": ...},
-//	                             optionally with a capacity_runs_per_sec
-//	                             hint); the coordinator liveness-checks it
-//	                             (with a bounded timeout) before admission
+//	POST /v1/fleet/join          a worker registers itself ({"url": ...});
+//	                             the coordinator liveness-checks it (with
+//	                             a bounded timeout) before admission
 //	GET  /v1/fleet               the current fleet in join order, each
-//	                             member with liveness state, age and
-//	                             scheduling health ([]server.FleetMember)
+//	                             member with liveness state and age
+//	                             ([]server.FleetMember)
 //	GET  /v1/coordinator/status  the heartbeat payload: epoch, role, fleet
 //	                             and full job list (server.CoordStatus);
 //	                             standbys poll it to mirror the primary
@@ -43,16 +42,10 @@ func (c *Coordinator) routes() {
 }
 
 // joinRequest is the body of POST /v1/fleet/join. Workers re-POST it
-// periodically as a heartbeat, so a capacity hint refreshes on every
-// beat.
+// periodically, so a restarted coordinator re-learns its fleet. Unknown
+// fields are ignored, so older workers' join bodies still decode.
 type joinRequest struct {
 	URL string `json:"url"`
-	// Capacity is the worker's self-declared service rate in runs per
-	// second (optional; 0 = undeclared). Dispatch weights the worker by
-	// max(declared, observed EWMA), so the hint shapes placement before
-	// the first range completes but never overrides observation
-	// downward.
-	Capacity float64 `json:"capacity_runs_per_sec,omitempty"`
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -69,15 +62,10 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusServiceUnavailable, "coordinator draining")
 		return
 	}
-	if req.Capacity < 0 {
-		server.WriteError(w, http.StatusBadRequest, "join: capacity_runs_per_sec must be non-negative")
-		return
-	}
 	if err := c.addWorker(req.URL, true); err != nil {
 		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	c.health.declare(req.URL, req.Capacity)
 	server.WriteJSON(w, http.StatusOK, struct {
 		Workers int `json:"workers"`
 	}{len(c.Fleet())})

@@ -146,15 +146,6 @@ func (m *membership) stale(olderThan time.Duration) []string {
 	return urls
 }
 
-// suspected reports whether url is currently past the suspicion
-// threshold (unknown members are not suspected — they are gone).
-func (m *membership) suspected(url string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mb, ok := m.members[url]
-	return ok && m.now().Sub(mb.lastSeen) >= m.suspectAfter
-}
-
 // view snapshots the table in join order (the round-robin order).
 func (m *membership) view() []memberView {
 	m.mu.Lock()

@@ -8,9 +8,9 @@ import (
 	"repro/internal/server"
 )
 
-// vclock is the injectable clock for membership/health tests: time only
-// moves when the test says so, so suspicion and brown-out windows are
-// exact instead of sleep-raced.
+// vclock is the injectable clock for membership tests: time only moves
+// when the test says so, so suspicion and death windows are exact
+// instead of sleep-raced.
 type vclock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -30,14 +30,25 @@ func (c *vclock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// fleetWire renders a membership view as the gossip wire payload.
-func fleetWire(m *membership) []server.FleetMember {
+// statusFleet renders a membership view as the fleet a coordinator
+// serves in its /v1/coordinator/status payload.
+func statusFleet(m *membership) []server.FleetMember {
 	rows := m.view()
 	out := make([]server.FleetMember, 0, len(rows))
 	for _, r := range rows {
 		out = append(out, server.FleetMember{URL: r.url, State: r.state, AgeMS: r.age.Milliseconds()})
 	}
 	return out
+}
+
+// stateOf reads url's liveness state from m's view ("" when absent).
+func stateOf(m *membership, url string) string {
+	for _, row := range m.view() {
+		if row.url == url {
+			return row.state
+		}
+	}
+	return ""
 }
 
 func TestMembershipSuspicionAndAgeOut(t *testing.T) {
@@ -54,7 +65,7 @@ func TestMembershipSuspicionAndAgeOut(t *testing.T) {
 	if v := m.view(); v[0].state != stateAlive {
 		t.Fatalf("at 60s the member is %q, want alive until 75s", v[0].state)
 	}
-	if m.suspected("http://w1") {
+	if stateOf(m, "http://w1") == stateSuspect {
 		t.Fatal("suspected before the threshold")
 	}
 
@@ -62,7 +73,7 @@ func TestMembershipSuspicionAndAgeOut(t *testing.T) {
 	if v := m.view(); v[0].state != stateSuspect {
 		t.Fatalf("at 80s the member is %q, want suspect", v[0].state)
 	}
-	if !m.suspected("http://w1") {
+	if stateOf(m, "http://w1") != stateSuspect {
 		t.Fatal("not suspected past the threshold")
 	}
 	if dead := m.sweepDead(); len(dead) != 0 {
@@ -84,13 +95,14 @@ func TestMembershipSuspicionAndAgeOut(t *testing.T) {
 	}
 }
 
-// TestMembershipGossipConvergesAndAgesOut drives two membership tables
-// with no seed overlap through gossip exchanges on a virtual clock:
-// they converge on the union, gossip keeps a live worker fresh on the
-// coordinator that never talks to it directly, and a departed worker
-// ages out of BOTH views within the suspicion→death window — without
-// being resurrected by continued gossip.
-func TestMembershipGossipConvergesAndAgesOut(t *testing.T) {
+// TestMembershipMirrorConvergesAndAgesOut drives two membership tables
+// with no seed overlap through status mirrors in both directions (a
+// standby mirrors its primary's fleet; after a failover the roles swap)
+// on a virtual clock: they converge on the union, mirroring keeps a
+// live worker fresh on the coordinator that never talks to it directly,
+// and a departed worker ages out of BOTH views within the
+// suspicion→death window — without being resurrected by later mirrors.
+func TestMembershipMirrorConvergesAndAgesOut(t *testing.T) {
 	clk := newVClock()
 	a := newMembership(75*time.Second, 150*time.Second, clk.now)
 	b := newMembership(75*time.Second, 150*time.Second, clk.now)
@@ -98,7 +110,7 @@ func TestMembershipGossipConvergesAndAgesOut(t *testing.T) {
 	b.observe("http://w2")
 
 	exchange := func() {
-		av, bv := fleetWire(a), fleetWire(b)
+		av, bv := statusFleet(a), statusFleet(b)
 		a.merge(bv)
 		b.merge(av)
 	}
@@ -120,10 +132,10 @@ func TestMembershipGossipConvergesAndAgesOut(t *testing.T) {
 	clk.advance(80 * time.Second)
 	a.observe("http://w1")
 	exchange()
-	if b.suspected("http://w1") {
-		t.Fatal("gossip failed to relay w1's freshness to b")
+	if stateOf(b, "http://w1") == stateSuspect {
+		t.Fatal("mirroring failed to relay w1's freshness to b")
 	}
-	if !a.suspected("http://w2") || !b.suspected("http://w2") {
+	if stateOf(a, "http://w2") != stateSuspect || stateOf(b, "http://w2") != stateSuspect {
 		t.Fatal("departed w2 should be suspect on both views")
 	}
 
@@ -135,12 +147,12 @@ func TestMembershipGossipConvergesAndAgesOut(t *testing.T) {
 	if dead := b.sweepDead(); len(dead) != 1 || dead[0] != "http://w2" {
 		t.Fatalf("b swept %v, want [http://w2]", dead)
 	}
-	// b still remembers w2 is gone even as a's next gossip arrives late —
+	// b still remembers w2 is gone even as a's next view arrives late —
 	// and a peer claiming a member at/past the death threshold never
 	// resurrects it.
 	b.merge([]server.FleetMember{{URL: "http://w2", State: stateSuspect, AgeMS: (160 * time.Second).Milliseconds()}})
 	if b.size() != 1 {
-		t.Fatalf("dead member resurrected by gossip: size %d", b.size())
+		t.Fatalf("dead member resurrected by a mirrored view: size %d", b.size())
 	}
 	exchange()
 	if a.size() != 1 || b.size() != 1 {
@@ -155,6 +167,6 @@ func TestMembershipMergeNeverRegressesFreshness(t *testing.T) {
 	// A peer with an older view (bigger age) must not make w1 look stale.
 	m.merge([]server.FleetMember{{URL: "http://w1", State: stateSuspect, AgeMS: (100 * time.Second).Milliseconds()}})
 	if m.view()[0].age != 0 {
-		t.Fatalf("stale gossip regressed freshness: age %v", m.view()[0].age)
+		t.Fatalf("a stale mirrored view regressed freshness: age %v", m.view()[0].age)
 	}
 }

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -297,89 +295,25 @@ func TestPromotedPrimaryDemotesToHigherAuthority(t *testing.T) {
 	}
 }
 
-// TestCapacityWeightedDispatch: with declared capacities 4:1, five
-// consecutive placements (none released) land 4:1 — each worker absorbs
-// outstanding ranges in proportion to its effective rate.
-func TestCapacityWeightedDispatch(t *testing.T) {
+// TestLeastLoadedPlacement: four placements with none released land
+// 2:2, and a release steers the next placement to the released worker
+// even though round-robin order would pick the other.
+func TestLeastLoadedPlacement(t *testing.T) {
 	w1, w2 := "http://192.0.2.1:1", "http://192.0.2.2:1"
 	c, _ := newCoordinator(t, Config{}, w1, w2)
-	c.health.declare(w1, 4)
-	c.health.declare(w2, 1)
 	counts := map[string]int{}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 4; i++ {
 		w := c.nextWorker(nil)
 		if w == nil {
 			t.Fatal("nextWorker returned nil with two live workers")
 		}
 		counts[w.url]++
 	}
-	if counts[w1] != 4 || counts[w2] != 1 {
-		t.Fatalf("placement = %v, want 4:1 by declared capacity", counts)
+	if counts[w1] != 2 || counts[w2] != 2 {
+		t.Fatalf("placement = %v, want 2:2", counts)
 	}
-	c.releaseWorker(w1)
-	c.mu.Lock()
-	out := c.outstanding[w1]
-	c.mu.Unlock()
-	if out != 3 {
-		t.Fatalf("outstanding after release = %d, want 3", out)
-	}
-}
-
-// TestJoinDeclaresCapacity: the join payload's capacity hint lands in
-// the health board and the fleet export; negative hints are rejected.
-func TestJoinDeclaresCapacity(t *testing.T) {
-	_, wurl := newWorker(t, nil)
-	c, ts := newCoordinator(t, Config{})
-
-	body := fmt.Sprintf(`{"url":%q,"capacity_runs_per_sec":12.5}`, wurl)
-	resp, err := http.Post(ts.URL+"/v1/fleet/join", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("join with capacity answered %d, want 200", resp.StatusCode)
-	}
-	if r := c.health.effectiveRate(wurl); r != 12.5 {
-		t.Fatalf("effectiveRate = %v, want declared 12.5", r)
-	}
-	found := false
-	for _, m := range c.FleetMembers() {
-		if m.URL == wurl && m.Health.DeclaredRunsPerSec == 12.5 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("declared capacity missing from the fleet export")
-	}
-
-	bad := fmt.Sprintf(`{"url":%q,"capacity_runs_per_sec":-1}`, wurl)
-	resp, err = http.Post(ts.URL+"/v1/fleet/join", "application/json", strings.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative capacity answered %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestDeclaredCapacityFeedsLeases: a declared capacity replaces the
-// cold-start lease ceiling, and observation above the declaration wins.
-func TestDeclaredCapacityFeedsLeases(t *testing.T) {
-	h := newHealthBoard(HealthConfig{}, time.Minute, nil)
-	if got := h.lease("w", 8); got != time.Minute {
-		t.Fatalf("cold-start lease = %v, want the 1m ceiling", got)
-	}
-	h.declare("w", 4)
-	if got := h.lease("w", 8); got != 6*time.Second {
-		t.Fatalf("declared-capacity lease = %v, want 3·8/4 = 6s", got)
-	}
-	if r := h.effectiveRate("w"); r != 4 {
-		t.Fatalf("effectiveRate = %v, want declared 4", r)
-	}
-	h.success("w", 80, time.Second) // observed 80 runs/sec > declared
-	if r := h.effectiveRate("w"); r != 80 {
-		t.Fatalf("effectiveRate = %v, want observed 80", r)
+	c.releaseWorker(w2)
+	if w := c.nextWorker(nil); w == nil || w.url != w2 {
+		t.Fatalf("after releasing %s the next placement went to %v", w2, w)
 	}
 }

@@ -8,47 +8,17 @@ package server
 // the job API can talk the fleet API without importing the federation
 // implementation.
 
-// WorkerHealth is one worker's scheduling health as scored by a
-// coordinator: an EWMA of observed service rate, the attempt
-// success/failure tallies, and the adaptive straggler lease the
-// coordinator would grant the worker's next range. Exported at
-// GET /v1/fleet so brown-outs are observable, and mirrored by standby
-// coordinators so a freshly promoted primary starts with a warm view.
-type WorkerHealth struct {
-	// EWMARunsPerSec is the smoothed observed service rate across the
-	// worker's completed ranges (0 until the first completion).
-	EWMARunsPerSec float64 `json:"ewma_runs_per_sec"`
-	// ErrShare is the smoothed share of attempts that failed (0..1).
-	ErrShare float64 `json:"err_share"`
-	// DeclaredRunsPerSec is the capacity hint the worker self-reported
-	// when joining the fleet (0 when none was declared). Dispatch weights
-	// a worker by max(declared, observed EWMA), so a declared capacity
-	// shapes placement before the first range completes.
-	DeclaredRunsPerSec float64 `json:"declared_runs_per_sec,omitempty"`
-	// Successes / Failures count completed and failed range attempts.
-	Successes int64 `json:"successes"`
-	Failures  int64 `json:"failures"`
-	// BrownedOut reports that the coordinator has stopped dispatching to
-	// this worker because its error share crossed the brown-out
-	// threshold; it drains and is re-probed after a cooldown.
-	BrownedOut bool `json:"browned_out,omitempty"`
-	// LeaseMS is the adaptive straggler lease, in milliseconds, the
-	// coordinator would grant this worker for a default-sized range.
-	LeaseMS int64 `json:"lease_ms"`
-}
-
 // FleetMember is one entry of a coordinator's live-worker view, served
-// at GET /v1/fleet. AgeMS (time since the worker was last heard from)
-// rather than an absolute timestamp is exchanged between coordinators'
-// anti-entropy rounds, so their clocks never need to agree.
+// at GET /v1/fleet. A standby mirrors the primary's view from
+// GET /v1/coordinator/status as AgeMS (time since the worker was last
+// heard from) rather than an absolute timestamp, so the two clocks never
+// need to agree.
 type FleetMember struct {
 	URL string `json:"url"`
 	// State is "alive" or "suspect" (past the suspicion threshold
 	// without contact; next stop is removal from the fleet).
 	State string `json:"state"`
 	AgeMS int64  `json:"age_ms"`
-	// Health is the coordinator's scheduling score for this worker.
-	Health WorkerHealth `json:"health"`
 }
 
 // CoordStatus is the coordinator heartbeat payload at

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -118,14 +120,15 @@ func TestStreamJournalHoldsTornTailUntilCompleted(t *testing.T) {
 	}
 }
 
+// twoLineJournal is a journal header followed by two result lines.
+const twoLineJournal = "{\"journal\":\"v1\",\"jobs\":2}\n{\"index\":0}\n{\"index\":1}\n"
+
 // TestLineFramerEmitsOncePerLineAcrossChunkBoundaries drives the framer
 // with every possible split point of a two-line journal and asserts the
 // reassembled emission is identical regardless of where reads tore the
 // stream.
 func TestLineFramerEmitsOncePerLineAcrossChunkBoundaries(t *testing.T) {
-	const header = "{\"journal\":\"v1\",\"jobs\":2}\n"
-	const body = "{\"index\":0}\n{\"index\":1}\n"
-	full := header + body
+	full := twoLineJournal
 	for split := 0; split <= len(full); split++ {
 		var fr lineFramer
 		var got []string
@@ -143,6 +146,54 @@ func TestLineFramerEmitsOncePerLineAcrossChunkBoundaries(t *testing.T) {
 			t.Fatalf("split %d: emitted %q", split, got)
 		}
 	}
+}
+
+// FuzzLineFramer feeds arbitrary bytes to the framer in chunks that
+// alternate between two fuzzed sizes. Whatever the bytes and the cuts,
+// the framer must emit exactly the newline-terminated lines after the
+// first, once each and in order, report each feed that emitted, and
+// hold the trailing newline-less fragment in pending.
+func FuzzLineFramer(f *testing.F) {
+	f.Add([]byte(twoLineJournal), uint8(1), uint8(1))
+	f.Add([]byte(twoLineJournal), uint8(5), uint8(17))
+	f.Add([]byte(twoLineJournal[:len(twoLineJournal)-4]), uint8(3), uint8(0))
+	f.Add([]byte("\n\n\nno newline"), uint8(0), uint8(255))
+	f.Fuzz(func(t *testing.T, data []byte, a, b uint8) {
+		sizes := [2]int{int(a) + 1, int(b) + 1}
+		lines := bytes.SplitAfter(data, []byte("\n")) // whole lines, then the fragment
+		whole, tail := lines[:len(lines)-1], lines[len(lines)-1]
+		var want []string
+		for i, line := range whole {
+			if i > 0 {
+				want = append(want, string(line))
+			}
+		}
+
+		var fr lineFramer
+		var got []string
+		emit := func(line []byte) error {
+			got = append(got, string(line))
+			return nil
+		}
+		for i, k := 0, 0; i < len(data); k++ {
+			n := min(sizes[k%2], len(data)-i)
+			before := len(got)
+			wrote, err := fr.feed(data[i:i+n], emit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wrote != (len(got) > before) {
+				t.Fatalf("feed of [%d,%d) reported wrote=%v after emitting %d lines", i, i+n, wrote, len(got)-before)
+			}
+			i += n
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("emitted %q, want %q", got, want)
+		}
+		if !bytes.Equal(fr.pending, tail) {
+			t.Fatalf("pending %q, want the trailing fragment %q", fr.pending, tail)
+		}
+	})
 }
 
 // TestStreamJournalWaitsForJournalCreation covers the follower that

@@ -13,7 +13,7 @@
 #      determinism contract survives a coordinator death, because
 #      idempotency keys re-attach the surviving worker-side range jobs;
 #   4. observability: the standby's metrics record exactly one failover
-#      and export per-worker health gauges.
+#      and export per-worker liveness gauges.
 . "$(dirname "$0")/lib.sh"
 
 primary=127.0.0.1:8440
@@ -33,7 +33,7 @@ wait_healthy "$w1" "worker 1"
 wait_healthy "$w2" "worker 2"
 
 # -suspect-after 5s keeps the membership (and per-worker gauge) cadence
-# sub-second so the short smoke window observes a health export.
+# sub-second so the short smoke window observes a liveness export.
 "$dir/lggd" -coordinator -addr "$primary" -state "$dir/primary" \
   -fleet "http://$w1,http://$w2" -range-runs 3 -lease 3s -suspect-after 5s \
   >"$dir/primary.log" 2>&1 &
@@ -107,11 +107,11 @@ curl -sf "http://$standby/v1/jobs/$job/results" -o "$dir/failover.jsonl" \
 cmp "$dir/local.jsonl" "$dir/failover.jsonl" || fail "post-failover merged JSONL differs from the in-process JSONL"
 say "post-failover output byte-identical to in-process run ($(wc -l <"$dir/local.jsonl") lines) ✓"
 
-# --- 4. the failover and worker health are observable -----------------
+# --- 4. the failover and worker liveness are observable ---------------
 curl -s "http://$standby/metrics" >"$dir/metrics.out"
 grep -q '^lggfed_failovers_total 1$' "$dir/metrics.out" || fail "metrics do not record exactly one failover"
 grep -q '^lggfed_standby 0$' "$dir/metrics.out" || fail "promoted standby still exports lggfed_standby 1"
-grep -q '^lggfed_worker_lease_ms_' "$dir/metrics.out" || fail "per-worker health gauges missing"
-say "failover + worker health visible in /metrics ✓"
+grep -q '^lggfed_worker_state_' "$dir/metrics.out" || fail "per-worker liveness gauges missing"
+say "failover + worker liveness visible in /metrics ✓"
 
 say "all checks passed"
